@@ -68,12 +68,12 @@ let rel_err est truth =
   if truth = 0.0 then Float.abs est else Float.abs ((est -. truth) /. truth)
 
 (* Every online cell below runs through the Run_config session path; these
-   forward the bench's global seed and the legacy defaults. *)
-let online_run ?target ?max_time ?max_walks ?report_every ?clock ?plan_choice
-    ?batch ?sink ?eager_checks ?tracer ?on_report q reg =
+   forward the bench's global seed. *)
+let online_run ?target ?max_time ?max_walks ?report_every ?clock ?plan_choice ?sink
+    ?eager_checks ?tracer ?on_report q reg =
   Online.run_session ?eager_checks ?tracer ?on_report
     (Wj_core.Run_config.make ~seed ?target ?max_time ?max_walks ?report_every
-       ?clock ?plan_choice ?batch ?sink ())
+       ?clock ?plan_choice ?sink ())
     q reg
 
 let online_run_group_by ?max_time ?max_walks ?report_every ?on_group_report q reg =
@@ -741,62 +741,6 @@ let abl_cardinality () =
     specs
 
 (* ======================================================================= *)
-(* Engine throughput: walks/sec by batch size. *)
-(* ======================================================================= *)
-
-let engine_bench () =
-  header "Engine: walks/sec by batch size (fixed PG plan, 2GB)";
-  let d = Data.get 0.02 in
-  let horizon = if !quick then 0.3 else 1.0 in
-  let batches = [ 1; 8; 64 ] in
-  let entries = ref [] in
-  Printf.printf "%-4s" "qry";
-  List.iter (fun b -> Printf.printf "  %12s" (Printf.sprintf "batch %d" b)) batches;
-  Printf.printf "   (walks/sec)\n";
-  List.iter
-    (fun spec ->
-      let q = Queries.build ~variant:Barebone spec d in
-      let reg = Queries.registry q in
-      let plan = pg_plan q reg in
-      Printf.printf "%-4s" (Queries.name_of spec);
-      let rates =
-        List.map
-          (fun batch ->
-            let out =
-              online_run ~max_time:horizon ~plan_choice:(Online.Fixed plan)
-                ~batch q reg
-            in
-            let rate = float_of_int out.final.walks /. out.final.elapsed in
-            Printf.printf "  %12.0f%!" rate;
-            (batch, rate))
-          batches
-      in
-      print_newline ();
-      entries := (Queries.name_of spec, rates) :: !entries)
-    specs;
-  (* Machine-readable drop for regression tracking. *)
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf
-    "{\n  \"experiment\": \"engine\",\n  \"unit\": \"walks_per_sec\",\n  \"queries\": {\n";
-  let entries = List.rev !entries in
-  List.iteri
-    (fun i (name, rates) ->
-      Buffer.add_string buf (Printf.sprintf "    %S: {" name);
-      List.iteri
-        (fun j (b, r) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s\"batch_%d\": %.1f" (if j = 0 then " " else ", ") b r))
-        rates;
-      Buffer.add_string buf
-        (Printf.sprintf " }%s\n" (if i = List.length entries - 1 then "" else ",")))
-    entries;
-  Buffer.add_string buf "  }\n}\n";
-  let oc = open_out "BENCH_engine.json" in
-  output_string oc (Buffer.contents buf);
-  close_out oc;
-  Printf.printf "  [engine] wrote BENCH_engine.json\n%!"
-
-(* ======================================================================= *)
 (* Observability overhead: walks/sec by sink mode. *)
 (* ======================================================================= *)
 
@@ -1074,22 +1018,20 @@ let service_bench () =
   Printf.printf "  [service] wrote BENCH_service.json\n%!"
 
 (* ======================================================================= *)
-(* Multicore: domain-sharded scheduler x interleaved prefetching engine. *)
+(* Multicore: walks/sec of the domain-sharded scheduler. *)
 (* ======================================================================= *)
 
 let mcore_bench () =
-  header "Multicore: walks/sec by domains x batch x prefetch";
-  (* Fleets of 16 pinned walk-budget sessions drained on 1/2/4/N domains,
-     each session running the batched engine with prefetch on or off.
+  header "Multicore: walks/sec by scheduler domains";
+  (* Fleets of 16 pinned walk-budget sessions drained on 1/2/4/N domains.
      Fixed plans and walk budgets: every cell does identical work, so
-     walks/sec differences are pure scheduling + engine effects.  The
-     sharded drain is estimate-transparent (test_service pins that), so
-     only throughput is interesting here. *)
+     walks/sec differences are pure scheduling effects.  The sharded drain
+     is estimate-transparent (test_service pins that), so only throughput
+     is interesting here. *)
   let module Scheduler = Wj_service.Scheduler in
   let d = Data.get (if !quick then 0.01 else 0.02) in
   let ncores = Stdlib.Domain.recommended_domain_count () in
   let domain_counts = List.sort_uniq compare [ 1; 2; 4; max 1 ncores ] in
-  let batches = [ 1; 8; 64 ] in
   let fleet = 16 in
   let walks = if !quick then 1_500 else 10_000 in
   let mk_triangle () =
@@ -1131,14 +1073,13 @@ let mcore_bench () =
     [ tpch Queries.Q3; tpch Queries.Q7;
       ("triangle", qt, Wj_core.Registry.build_for_query qt) ]
   in
-  let cell ~q ~reg ~plan ~domains ~batch ~prefetch =
+  let cell ~q ~reg ~plan ~domains =
     let sched = Scheduler.create ~quantum:256 ~max_live:fleet ~domains () in
     let sessions =
       List.init fleet (fun i ->
           let cfg =
             Wj_core.Run_config.make ~seed:(seed + i) ~max_walks:walks
-              ~max_time:3600.0 ~batch ~prefetch
-              ~plan_choice:(Wj_core.Run_config.Fixed plan) ()
+              ~max_time:3600.0 ~plan_choice:(Wj_core.Run_config.Fixed plan) ()
           in
           Scheduler.submit sched ~pin:i cfg q reg)
     in
@@ -1163,41 +1104,20 @@ let mcore_bench () =
   List.iteri
     (fun qi (name, q, reg) ->
       let plan = pg_plan q reg in
-      Printf.printf "%-9s %8s %6s  %s\n" name "domains" "batch" "on / off walks/sec";
-      Buffer.add_string buf (Printf.sprintf "    %S: {\n" name);
-      let base_1 = ref 0.0 and best_n = ref 0.0 in
-      let gain64 = ref 0.0 in
-      List.iteri
-        (fun di domains ->
-          Buffer.add_string buf (Printf.sprintf "      \"domains_%d\": {" domains);
-          List.iteri
-            (fun bi batch ->
-              let on = cell ~q ~reg ~plan ~domains ~batch ~prefetch:true in
-              let off = cell ~q ~reg ~plan ~domains ~batch ~prefetch:false in
-              if batch = 64 then begin
-                if domains = 1 then base_1 := on;
-                if on > !best_n then best_n := on;
-                if domains = 1 then gain64 := on /. Float.max off 1e-9
-              end;
-              Printf.printf "%-9s %8d %6d  %10.0f / %10.0f\n%!" "" domains batch on
-                off;
-              Buffer.add_string buf
-                (Printf.sprintf
-                   " \"batch_%d\": { \"prefetch_on\": %.0f, \"prefetch_off\": \
-                    %.0f }%s"
-                   batch on off
-                   (if bi = List.length batches - 1 then "" else ",")))
-            batches;
-          Buffer.add_string buf
-            (Printf.sprintf " }%s\n"
-               (if di = List.length domain_counts - 1 then "" else ",")))
-        domain_counts;
+      Printf.printf "%-9s %8s  %s\n" name "domains" "walks/sec";
+      Buffer.add_string buf (Printf.sprintf "    %S: {" name);
+      let rates =
+        List.map
+          (fun domains ->
+            let r = cell ~q ~reg ~plan ~domains in
+            Printf.printf "%-9s %8d  %10.0f\n%!" "" domains r;
+            Buffer.add_string buf (Printf.sprintf " \"domains_%d\": %.0f," domains r);
+            r)
+          domain_counts
+      in
       Buffer.add_string buf
-        (Printf.sprintf
-           "      ,\"summary\": { \"scaling_best_over_1_batch64\": %.2f, \
-            \"prefetch_gain_1dom_batch64\": %.3f }\n    }%s\n"
-           (!best_n /. Float.max !base_1 1e-9)
-           !gain64
+        (Printf.sprintf " \"scaling_best_over_1\": %.2f }%s\n"
+           (List.fold_left Float.max 0.0 rates /. Float.max (List.hd rates) 1e-9)
            (if qi = List.length cases - 1 then "" else ",")))
     cases;
   Buffer.add_string buf "  }\n}\n";
@@ -1817,7 +1737,6 @@ let experiments =
     ("abl-failfast", abl_failfast);
     ("abl-strat", abl_stratified);
     ("abl-card", abl_cardinality);
-    ("engine", engine_bench);
     ("obs", obs_bench);
     ("layout", layout_bench);
     ("service", service_bench);

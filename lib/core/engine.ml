@@ -1,151 +1,5 @@
 module Estimator = Wj_stats.Estimator
 module Timer = Wj_util.Timer
-module Prng = Wj_util.Prng
-
-(* ---- Step-centric batched walk engine --------------------------------- *)
-
-type slot = {
-  path : int array; (* preallocated, reused across this slot's walks *)
-  mutable inv_p : float;
-  mutable depth : int;
-  mutable next_step : int; (* -1: begin a new walk on this slot's next turn *)
-  mutable cost : int;
-  issued : Walker.issued; (* this slot's in-flight probe, if any *)
-}
-
-type completion = { outcome : Walker.outcome; cost : int }
-
-type t = {
-  prepared : Walker.prepared;
-  batch : int;
-  prefetch : bool;
-  slots : slot array;
-  nsteps : int;
-  pending : completion Queue.t;
-  mutable last_cost : int;
-}
-
-let create ?(batch = 1) ?(prefetch = true) prepared =
-  if batch < 1 then invalid_arg "Engine.create: batch must be >= 1";
-  let kq = Query.k (Walker.query prepared) in
-  {
-    prepared;
-    batch;
-    prefetch;
-    slots =
-      Array.init batch (fun _ ->
-          {
-            path = Array.make kq (-1);
-            inv_p = 1.0;
-            depth = 0;
-            next_step = -1;
-            cost = 0;
-            issued = Walker.make_issued ();
-          });
-    nsteps = Array.length (Walker.plan prepared).Walk_plan.steps;
-    pending = Queue.create ();
-    last_cost = 0;
-  }
-
-let batch t = t.batch
-let prepared t = t.prepared
-
-let finish t (slot : slot) outcome =
-  Walker.record_outcome t.prepared ~cost:slot.cost outcome;
-  Queue.push { outcome; cost = slot.cost } t.pending;
-  slot.next_step <- -1
-
-(* One turn of one slot: a single gather -> sample -> update phase. *)
-let turn t prng (slot : slot) =
-  if slot.next_step = -1 then begin
-    (* Begin a new walk in this slot: the previous walk's path buffer is
-       only clobbered here, one full drain of [pending] later, so returned
-       Success paths stay valid until the next sweep. *)
-    Walker.note_walk_started t.prepared;
-    Array.fill slot.path 0 (Array.length slot.path) (-1);
-    slot.inv_p <- 1.0;
-    slot.depth <- 0;
-    slot.cost <- 0;
-    match Walker.advance_start t.prepared prng slot.path with
-    | Walker.Advanced f ->
-      slot.cost <- Walker.phase_cost t.prepared;
-      slot.inv_p <- f;
-      slot.depth <- 1;
-      if t.nsteps = 0 then
-        finish t slot (Walker.Success { path = slot.path; inv_p = slot.inv_p })
-      else slot.next_step <- 0
-    | Walker.Dead_unbound ->
-      slot.cost <- Walker.phase_cost t.prepared;
-      finish t slot (Walker.Failure { depth = 0 })
-    | Walker.Dead_bound ->
-      slot.cost <- Walker.phase_cost t.prepared;
-      finish t slot (Walker.Failure { depth = 1 })
-  end
-  else begin
-    let i = slot.next_step in
-    let phase =
-      (* Resolve against the probe issued for this very step by the
-         sweep's prefetch phase; fall back to the fused classic step when
-         nothing is issued (prefetch off, or the slot started this
-         sweep).  Both consume identical PRNG draws. *)
-      if Walker.issued_step slot.issued = i then
-        Walker.resolve_step t.prepared prng slot.issued slot.path i
-      else Walker.advance_step t.prepared prng slot.path i
-    in
-    match phase with
-    | Walker.Advanced f ->
-      slot.cost <- slot.cost + Walker.phase_cost t.prepared;
-      slot.inv_p <- slot.inv_p *. f;
-      slot.depth <- slot.depth + 1;
-      if i + 1 >= t.nsteps then
-        finish t slot (Walker.Success { path = slot.path; inv_p = slot.inv_p })
-      else slot.next_step <- i + 1
-    | Walker.Dead_unbound ->
-      slot.cost <- slot.cost + Walker.phase_cost t.prepared;
-      finish t slot (Walker.Failure { depth = slot.depth })
-    | Walker.Dead_bound ->
-      slot.cost <- slot.cost + Walker.phase_cost t.prepared;
-      finish t slot (Walker.Failure { depth = slot.depth + 1 })
-  end
-
-let next t prng =
-  if t.batch = 1 then begin
-    (* The batch-size-1 special case IS the sequential walker: identical
-       PRNG draws in identical order, so existing fixed-seed results are
-       reproduced bit for bit. *)
-    let outcome = Walker.walk t.prepared prng in
-    t.last_cost <- Walker.steps_of_last_walk t.prepared;
-    outcome
-  end
-  else begin
-    (* Sweep all slots in index order until a walk completes: slots at the
-       same depth probe the same step's index back to back.  With
-       prefetching on, each sweep first issues every in-flight slot's
-       locate (no PRNG draws, so the resolve sweep's draw order — and
-       every estimate — is identical to the classic sweep), then resolves
-       them in the same slot order. *)
-    while Queue.is_empty t.pending do
-      if t.prefetch then begin
-        let issued = ref 0 in
-        for i = 0 to t.batch - 1 do
-          let slot = t.slots.(i) in
-          if slot.next_step >= 0 && Walker.issued_step slot.issued < 0 then begin
-            Walker.issue_step t.prepared slot.issued slot.path slot.next_step;
-            incr issued
-          end
-        done;
-        if !issued >= 2 then Walker.note_prefetch_batched t.prepared !issued
-      end;
-      for i = 0 to t.batch - 1 do
-        turn t prng t.slots.(i)
-      done
-    done;
-    let { outcome; cost } = Queue.pop t.pending in
-    t.last_cost <- cost;
-    outcome
-  end
-
-let last_walk_cost t = t.last_cost
 
 (* ---- Estimator sink --------------------------------------------------- *)
 

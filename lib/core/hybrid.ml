@@ -50,7 +50,8 @@ type replicate = {
 let choose_component_plan ~trials q registry prng members =
   let plans = Walk_plan.enumerate_subset q registry ~members in
   if plans = [] then
-    invalid_arg "Hybrid.run: a decomposition component admits no walk plan";
+    invalid_arg
+      "Hybrid.run_session: a decomposition component admits no walk plan";
   let score plan =
     let prepared = Walker.prepare q registry plan in
     let successes = ref 0 and steps = ref 0 in
@@ -145,13 +146,6 @@ let start_session ?(config = default_config) ?(max_rounds = max_int)
                granularity = Walk_plan.granularity p;
              }))
       plans;
-  (* One engine per component, shared by all replicates: with [batch > 1]
-     the in-flight walks of a component interleave across replicates. *)
-  let engines =
-    Array.map
-      (Engine.create ~batch:cfg.Run_config.batch ~prefetch:cfg.Run_config.prefetch)
-      prepared
-  in
   let cross_conds =
     let comp_of = Array.make (Query.k q) (-1) in
     List.iteri
@@ -222,7 +216,7 @@ let start_session ?(config = default_config) ?(max_rounds = max_int)
             if not st.frozen then begin
               st.comp_walks <- st.comp_walks + 1;
               incr walks;
-              (match Engine.next engines.(ci) prng with
+              (match Walker.walk prepared.(ci) prng with
               | Walker.Success { path; inv_p } ->
                 incr successes;
                 let sp = { rows = Array.copy path; inv_p } in
@@ -288,9 +282,3 @@ let run_session ?config ?max_rounds (cfg : Run_config.t) q registry =
   let s = start_session ?config ?max_rounds cfg q registry in
   let (_ : Engine.Driver.stop_reason) = Engine.Driver.drain s.Session.driver in
   Session.outcome s
-
-let run ?(seed = 2024) ?(confidence = 0.95) ?(config = default_config)
-    ?(max_time = 10.0) ?(max_rounds = max_int) ?clock ?(batch = 1) ?sink q registry =
-  run_session ~config ~max_rounds
-    (Run_config.make ~seed ~confidence ~max_time ?clock ~batch ?sink ())
-    q registry

@@ -46,8 +46,8 @@ let make_report ~confidence ~elapsed est =
     half_width = Estimator.half_width est ~confidence;
   }
 
-let pick_plan ~plan_choice ~eager_checks ~tracer ~sink ?convergence q registry prng
-    clock =
+let pick_plan ~entry ~plan_choice ~eager_checks ~tracer ~sink ?convergence q
+    registry prng clock =
   match plan_choice with
   | Fixed plan ->
     ( Walker.prepare ~eager_checks ?tracer ~sink q registry plan,
@@ -57,7 +57,7 @@ let pick_plan ~plan_choice ~eager_checks ~tracer ~sink ?convergence q registry p
       0 )
   | First_enumerated -> (
     match Walk_plan.enumerate ~max_plans:1 q registry with
-    | [] -> invalid_arg "Online.run: query admits no walk plan"
+    | [] -> invalid_arg (entry ^ ": query admits no walk plan")
     | plan :: _ ->
       ( Walker.prepare ~eager_checks ?tracer ~sink q registry plan,
         plan,
@@ -117,8 +117,8 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
   in
   let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
   let prepared, plan, est, optimizer_time, optimizer_walks =
-    pick_plan ~plan_choice:cfg.plan_choice ~eager_checks ~tracer ~sink ?convergence
-      q registry prng clock
+    pick_plan ~entry:"Online.run_session" ~plan_choice:cfg.plan_choice ~eager_checks
+      ~tracer ~sink ?convergence q registry prng clock
   in
   (* Trial walks are already inside [est] (the merged trial estimator) and
      already attributed per plan by the optimizer; snapshot them so the
@@ -133,7 +133,6 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
            description = Walk_plan.describe q plan;
            granularity = Walk_plan.granularity plan;
          });
-  let engine = Engine.create ~batch:cfg.batch ~prefetch:cfg.prefetch prepared in
   let history = ref [] in
   let emit_report () =
     let r = make_report ~confidence:cfg.confidence ~elapsed:(Timer.elapsed clock) est in
@@ -148,7 +147,7 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
           ~half_width:(Estimator.half_width est ~confidence:cfg.confidence))
       cfg.target
   in
-  let step () = Engine.feed q prepared est (Engine.next engine prng) in
+  let step () = Engine.feed q prepared est (Walker.walk prepared prng) in
   let driver =
     Engine.Driver.make ~sink ?target_reached ?should_stop:cfg.should_stop
       ?max_walks:cfg.max_walks ?report_every:cfg.report_every
@@ -197,14 +196,6 @@ let run_session ?eager_checks ?tracer ?on_report (cfg : Run_config.t) q registry
   let (_ : stop_reason) = Engine.Driver.drain s.Session.driver in
   Session.outcome s
 
-let run ?(seed = 42) ?(confidence = 0.95) ?target ?(max_time = 10.0) ?max_walks
-    ?report_every ?on_report ?clock ?(plan_choice = Optimize Optimizer.default_config)
-    ?(eager_checks = true) ?tracer ?should_stop ?(batch = 1) ?sink q registry =
-  run_session ~eager_checks ?tracer ?on_report
-    (Run_config.make ~seed ~confidence ?target ~max_time ?max_walks ?report_every
-       ~batch ?clock ?should_stop ~plan_choice ?sink ())
-    q registry
-
 (* ---- Group-by -------------------------------------------------------- *)
 
 type group_outcome = {
@@ -233,15 +224,15 @@ end
 
 let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
   if q.Query.group_by = None then
-    invalid_arg "Online.run_group_by: query has no GROUP BY";
+    invalid_arg "Online.run_group_by_session: query has no GROUP BY";
   let clock = Run_config.clock_or_wall cfg in
   (* Group estimators have no single CI trajectory, so the recorder only
      contributes metrics sampling and tracing here — no convergence scope. *)
   let sink = Run_config.resolved_sink cfg in
   let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
   let prepared, plan, _trials, _, _ =
-    pick_plan ~plan_choice:cfg.plan_choice ~eager_checks:true ~tracer:None ~sink q
-      registry prng clock
+    pick_plan ~entry:"Online.run_group_by_session" ~plan_choice:cfg.plan_choice
+      ~eager_checks:true ~tracer:None ~sink q registry prng clock
   in
   if Sink.wants_reports sink then
     Sink.emit sink
@@ -250,7 +241,6 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
            description = Walk_plan.describe q plan;
            granularity = Walk_plan.granularity plan;
          });
-  let engine = Engine.create ~batch:cfg.batch ~prefetch:cfg.prefetch prepared in
   (* The optimizer's trial estimator cannot be split by group (it does not
      retain paths), so group estimators start from zero walks here. *)
   let groups : (Value.t, Estimator.t) Hashtbl.t = Hashtbl.create 16 in
@@ -279,7 +269,7 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
     |> List.sort (fun (a, _) (b, _) -> Value.compare a b)
   in
   let step () =
-    (match Engine.next engine prng with
+    (match Walker.walk prepared prng with
     | Walker.Success { path; inv_p } ->
       let key = Query.group_key q path in
       let e = group_est key in
@@ -310,12 +300,3 @@ let run_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
   let s = start_group_by_session ?on_group_report cfg q registry in
   let (_ : stop_reason) = Engine.Driver.drain s.Group_session.driver in
   Group_session.outcome s
-
-let run_group_by ?(seed = 42) ?(confidence = 0.95) ?(max_time = 10.0) ?max_walks
-    ?report_every ?on_group_report ?clock
-    ?(plan_choice = Optimize Optimizer.default_config) ?should_stop ?(batch = 1)
-    ?sink q registry =
-  run_group_by_session ?on_group_report
-    (Run_config.make ~seed ~confidence ~max_time ?max_walks ?report_every ~batch
-       ?clock ?should_stop ~plan_choice ?sink ())
-    q registry

@@ -16,7 +16,7 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
   let domains =
     match domains with
     | Some d when d >= 1 -> d
-    | Some _ -> invalid_arg "Parallel.run: domains must be >= 1"
+    | Some _ -> invalid_arg "Parallel.run_session: domains must be >= 1"
     | None -> Domain.recommended_domain_count ()
   in
   let clock = Run_config.clock_or_wall cfg in
@@ -28,7 +28,7 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
     | Run_config.Fixed plan -> (plan, Estimator.create q.Query.agg)
     | Run_config.First_enumerated -> (
       match Walk_plan.enumerate ~max_plans:1 q registry with
-      | [] -> invalid_arg "Parallel.run: query admits no walk plan"
+      | [] -> invalid_arg "Parallel.run_session: query admits no walk plan"
       | plan :: _ -> (plan, Estimator.create q.Query.agg))
     | Run_config.Optimize config ->
       let r = Optimizer.choose ~config ~sink q registry prng in
@@ -52,13 +52,12 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
   let worker i () =
     let prng = Prng.create (cfg.seed + (1_000_003 * (i + 1))) in
     let prepared = Walker.prepare ~sink:(worker_sink i) q registry plan in
-    let engine = Engine.create ~batch:cfg.batch ~prefetch:cfg.prefetch prepared in
     let est = Estimator.create q.Query.agg in
     let reason =
       Engine.Driver.run ~sink:(worker_sink i) ?max_walks:walks_per_domain
         ?should_stop:cfg.should_stop ~max_time:cfg.max_time ~clock
         ~walks:(fun () -> Estimator.n est)
-        ~step:(fun () -> Engine.feed q prepared est (Engine.next engine prng))
+        ~step:(fun () -> Engine.feed q prepared est (Walker.walk prepared prng))
         ()
     in
     (est, reason)
@@ -81,13 +80,6 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
     per_domain_walks;
     stopped_because = own_reason;
   }
-
-let run ?(seed = 77) ?(confidence = 0.95) ?domains ?(max_time = 1.0) ?walks_per_domain
-    ?(plan_choice = Online.Optimize Optimizer.default_config) ?(batch = 1) ?sink q
-    registry =
-  run_session ?domains ?walks_per_domain
-    (Run_config.make ~seed ~confidence ~max_time ~plan_choice ~batch ?sink ())
-    q registry
 
 (* A parallel run blocks on its spawned domains, so its session handle is
    one-shot: the first [advance] executes the entire fan-out regardless of

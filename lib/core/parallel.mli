@@ -30,32 +30,16 @@ val run_session :
   outcome
 (** The run-session entry point.  [domains] defaults to
     [Domain.recommended_domain_count ()].  Each domain runs its own
-    {!Engine} ([cfg.batch] in-flight walks) through the shared
-    {!Engine.Driver} until [cfg.max_time] or [walks_per_domain] expires.
-    [cfg.report_every] and [cfg.target] are ignored (per-domain estimators
-    only merge at the end).
+    {!Walker.walk} loop through the shared {!Engine.Driver} until
+    [cfg.max_time] or [walks_per_domain] expires.  [cfg.report_every] and
+    [cfg.target] are ignored (per-domain estimators only merge at the
+    end).
 
     [cfg.sink]: event callbacks fire from the calling domain only (plan
     choice, domain 0's walks); metric counters are shared by all domains —
     plain unsynchronised stores into flat arrays, so counts are
     approximate under contention (never torn: each cell is one word).
     Raises [Invalid_argument] when the query admits no walk plan. *)
-
-val run :
-  ?seed:int ->
-  ?confidence:float ->
-  ?domains:int ->
-  ?max_time:float ->
-  ?walks_per_domain:int ->
-  ?plan_choice:Online.plan_choice ->
-  ?batch:int ->
-  ?sink:Wj_obs.Sink.t ->
-  Query.t ->
-  Registry.t ->
-  outcome
-  [@@deprecated "use Parallel.run_session with a Run_config (or Session.run)"]
-(** Thin shim over {!run_session}; defaults seed 77, confidence 0.95,
-    [max_time] 1 s, optimizer plan choice, batch 1, no-op sink. *)
 
 module Session : sig
   type t

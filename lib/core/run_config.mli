@@ -1,11 +1,10 @@
 (** One record for everything a run session shares across drivers.
 
     The Online, Parallel and Hybrid drivers (and {!Wj_sql.Engine} above
-    them) historically grew the same optional arguments independently:
-    seed, confidence, budgets, reporting cadence, clock, cancellation,
-    plan choice.  [Run_config.t] is the single source of truth for those
-    knobs plus the observability {!Wj_obs.Sink.t}; the legacy
-    optional-argument entry points are thin shims over [make]. *)
+    them) share seed, confidence, budgets, reporting cadence, clock,
+    cancellation and plan choice.  [Run_config.t] is the single source of
+    truth for those knobs plus the observability {!Wj_obs.Sink.t}; every
+    driver's entry point takes one. *)
 
 type plan_choice =
   | Optimize of Optimizer.config
@@ -21,12 +20,6 @@ type t = {
   max_time : float;  (** seconds, on [clock] *)
   max_walks : int option;  (** walk/round/sample budget *)
   report_every : float option;  (** periodic report interval, seconds *)
-  batch : int;  (** engine in-flight walks; 1 = sequential walker *)
-  prefetch : bool;
-      (** interleave the batch's index probes (issue every slot's locate
-          + prefetch touches before resolving any); default [true].
-          Never changes estimates — the issue phase draws nothing — and
-          is irrelevant at [batch = 1].  See {!Engine.create}. *)
   clock : Wj_util.Timer.t option;  (** [None] = wall clock *)
   should_stop : (unit -> bool) option;  (** cooperative cancellation *)
   plan_choice : plan_choice;
@@ -49,7 +42,7 @@ type t = {
 
 val default : t
 (** seed 42, confidence 0.95, no target, 10 s, unlimited walks, no
-    reports, batch 1, wall clock, optimizer default config, no-op sink. *)
+    reports, wall clock, optimizer default config, no-op sink. *)
 
 val make :
   ?seed:int ->
@@ -58,8 +51,6 @@ val make :
   ?max_time:float ->
   ?max_walks:int ->
   ?report_every:float ->
-  ?batch:int ->
-  ?prefetch:bool ->
   ?clock:Wj_util.Timer.t ->
   ?should_stop:(unit -> bool) ->
   ?plan_choice:plan_choice ->

@@ -30,7 +30,7 @@ type handle = {
 }
 
 val start : ?spec:Session_spec.t -> Run_config.t -> Query.t -> Registry.t -> handle
-(** Build (plan selection, engine setup) without performing any walks.
+(** Build (plan selection, driver setup) without performing any walks.
     [spec] defaults to [cfg.spec].  Raises [Invalid_argument] when the
     query admits no walk plan, or on a driver/query mismatch (a group-by
     spec on a query without GROUP BY, and vice versa). *)

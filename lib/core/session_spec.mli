@@ -3,8 +3,8 @@
 
     The unified entry points — {!Session.start}, [Scheduler.submit],
     [Sql.Engine.serve] — dispatch on one [t] instead of growing one
-    entry point per algorithm.  Shared knobs (seed, budgets, clock,
-    batch, sink, backend) stay on {!Run_config.t}; everything here is
+    entry point per algorithm.  Shared knobs (seed, budgets, clock, sink,
+    backend) stay on {!Run_config.t}; everything here is
     algorithm-specific. *)
 
 type online = {

@@ -62,16 +62,18 @@ val query : prepared -> Query.t
 val plan : prepared -> Walk_plan.t
 
 val walk : prepared -> Wj_util.Prng.t -> outcome
-(** One random walk.  Also drives the tracer/sink, if any, and records the
-    walk's outcome (see {!record_outcome}) — callers composing walks out of
-    the phases below must do both themselves. *)
+(** One random walk, and the only walk loop: every driver calls it.  Also
+    drives the tracer/sink, if any, and counts the walk's outcome in the
+    sink's metrics (walks / successes / failures / failure-depth
+    histogram, [Walk_succeeded]/[Walk_failed] events). *)
 
 (** {2 Step-granular phases}
 
-    [walk] is the sequential composition of the phases below; the batched
-    {!Engine} interleaves the same phases across many in-flight walks.
-    Both consume identical PRNG draws per walk, so a single-slot engine
-    reproduces [walk] bit for bit. *)
+    [walk] is the sequential composition of the phases below: one
+    {!advance_start}, then {!advance_step} for each plan step until the
+    walk dies or completes.  A caller composing the phases itself consumes
+    the same PRNG draws as [walk]; the walk-level lifecycle events and
+    outcome counters are [walk]'s alone. *)
 
 type phase =
   | Advanced of float
@@ -106,67 +108,7 @@ val advance_step : prepared -> Wj_util.Prng.t -> int array -> int -> phase
 
 val phase_cost : prepared -> int
 (** Abstract cost (index-entry accesses + tuple fetches) of the most
-    recent [advance_start]/[advance_step]/[resolve_step] call. *)
-
-(** {2 Issue/resolve: interleaved prefetching}
-
-    {!advance_step} split at the PRNG draw.  [issue_step] runs the
-    count-and-locate half — probe the step's index from the bound parent,
-    keep the located neighbour set ({!Wj_index.Index.located} or the
-    narrowed trie slot range), and touch its backing memory plus the head
-    candidate row's table cells through [Sys.opaque_identity] (paged
-    columns fault their page into the buffer pool).  [resolve_step] runs
-    the draw-bind-vet half against what was issued.
-
-    [issue_step] draws nothing from the PRNG, so the batched engine can
-    issue {e every} in-flight slot's probe before resolving {e any} of
-    them (ThunderRW's step interleaving): the resolve sweep then draws in
-    slot order, exactly the sequence the classic per-slot
-    [advance_step] sweep draws — estimates are bit-for-bit identical with
-    prefetching on or off.
-
-    Cost accounting charges the probe once, not twice: issue charges the
-    index's [count_cost], resolve adds only
-    {!Wj_index.Index.resolve_cost} [+ 1] (the classic fused path
-    re-charges a full [probe_cost] for the select). *)
-
-type issued
-(** One slot's in-flight probe between issue and resolve; a mutable
-    scratch record the engine reuses across walks. *)
-
-val make_issued : unit -> issued
-
-val issued_step : issued -> int
-(** The step index the pending locate answers, or [-1] when nothing is
-    issued (fresh, or consumed by {!resolve_step}). *)
-
-val issue_step : prepared -> issued -> int array -> int -> unit
-(** [issue_step t iss path i] locates step [i]'s neighbour set from the
-    bound parent row in [path] and issues the prefetch touches.  Emits the
-    step's [Index_probe] (same position and cost as the classic path) and
-    bumps ["walker.prefetch.issued"]; consumes no PRNG draw. *)
-
-val resolve_step :
-  prepared -> Wj_util.Prng.t -> issued -> int array -> int -> phase
-(** Complete an issued step: draw (iff the located set is non-empty, as
-    the classic path does), bind and vet.  Consumes the issue; raises
-    [Invalid_argument] when nothing was issued for a plain step. *)
-
-val note_prefetch_batched : prepared -> int -> unit
-(** Credit ["walker.prefetch.batched"] with the number of issues that
-    shared one engine sweep with at least one other — the part of
-    {!issue_step} traffic that actually overlapped a cache miss. *)
-
-val note_walk_started : prepared -> unit
-(** Emit [Walk_started] to the sink, if it wants events.  {!walk} calls
-    this itself; phase-level callers (the batched engine) call it when a
-    slot begins a new walk. *)
-
-val record_outcome : prepared -> cost:int -> outcome -> unit
-(** Count the walk in the sink's metrics (walks / successes / failures /
-    failure-depth histogram) and emit [Walk_succeeded]/[Walk_failed].
-    Must fire exactly once per walk: {!walk} does it internally; the
-    batched engine does it when a slot's walk completes. *)
+    recent [advance_start]/[advance_step] call. *)
 
 val steps_of_last_walk : prepared -> int
 (** Abstract cost (index-entry accesses + tuple fetches) of the most recent

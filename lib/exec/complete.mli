@@ -25,7 +25,6 @@ val run :
   ?target:Wj_stats.Target.t ->
   ?report_every:float ->
   ?on_report:(Wj_core.Online.report -> unit) ->
-  ?batch:int ->
   Wj_core.Query.t ->
   Wj_core.Registry.t ->
   result

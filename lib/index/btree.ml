@@ -176,12 +176,6 @@ let nth t r =
   t.probes <- t.probes + 1;
   nth_node t.root r
 
-(* Walk the select path once, purely for its cache side effect: the node
-   arrays the later (counted) [nth] will touch are warm.  Not a query —
-   does not bump [probes]. *)
-let prefetch_rank t r =
-  if r >= 0 && r < t.length then ignore (Sys.opaque_identity (nth_node t.root r))
-
 let count_range t ~lo ~hi = if lo > hi then 0 else rank_le t hi - rank_lt t lo
 let count_eq t k = count_range t ~lo:k ~hi:k
 let mem t k = count_eq t k > 0

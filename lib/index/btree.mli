@@ -39,13 +39,6 @@ val count_range : t -> lo:int -> hi:int -> int
 val rank_lt : t -> int -> int
 (** Number of entries with key strictly below the argument. *)
 
-val prefetch_rank : t -> int -> unit
-(** Descend the select path for a global rank purely for its cache side
-    effect (every node array on the path is touched through
-    [Sys.opaque_identity]); out-of-range ranks are ignored and [probes]
-    is not bumped.  The batched walk engine issues these for every
-    in-flight walk before resolving any of them. *)
-
 val nth : t -> int -> (int * int)
 (** [nth t r] is the entry of global rank [r] (0-based, key order, ties in
     insertion order at the leaf level). Raises [Invalid_argument] when out

@@ -36,10 +36,6 @@ let count t key =
   t.probes <- t.probes + 1;
   match Hashtbl.find_opt t.buckets key with None -> 0 | Some rows -> Vec.length rows
 
-let find t key =
-  t.probes <- t.probes + 1;
-  Hashtbl.find_opt t.buckets key
-
 let nth t key k =
   t.probes <- t.probes + 1;
   match Hashtbl.find_opt t.buckets key with

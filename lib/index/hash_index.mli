@@ -23,13 +23,6 @@ val table_column : t -> int
 val count : t -> int -> int
 (** Number of rows whose key equals the argument. *)
 
-val find : t -> int -> int Wj_util.Vec.t option
-(** The bucket holding a key's rows, located with one lookup (counted as
-    one probe), or [None] when the key is absent.  The issue/resolve walk
-    path holds the bucket across the prefetch phase so the later select
-    is a plain [Vec.get] instead of a second hash lookup.  The returned
-    vector is the index's own storage: do not mutate it. *)
-
 val nth : t -> int -> int -> int
 (** [nth t key k] is the row id of the k-th (0-based, insertion-ordered)
     row matching [key]; raises [Invalid_argument] when out of range. *)

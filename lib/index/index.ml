@@ -111,65 +111,6 @@ let cursor_seek cur k =
   | Btree_cursor c -> c.rank <- max c.rank (Btree.rank_lt c.b k)
   | Trie_cursor c -> Trie.seek c k
 
-(* ---- Located probes: issue/resolve ------------------------------------ *)
-
-type located =
-  | L_empty
-  | L_bucket of int Wj_util.Vec.t
-  | L_ranked of { b : Btree.t; base : int; count : int }
-  | L_slots of { tr : Trie.t; lo : int; count : int }
-
-let locate_eq t key =
-  match t.kind with
-  | Hash h -> (
-    match Hash_index.find h key with
-    | None -> L_empty
-    | Some rows -> L_bucket rows)
-  | Ordered b ->
-    let count = Btree.count_eq b key in
-    if count = 0 then L_empty
-    else L_ranked { b; base = Btree.rank_lt b key; count }
-  | Trie tr ->
-    let rlo, rhi = Trie.root tr in
-    let lo, hi = Trie.narrow tr ~level:0 ~lo:rlo ~hi:rhi ~klo:key ~khi:key in
-    if hi <= lo then L_empty else L_slots { tr; lo; count = hi - lo }
-
-let locate_range t ~lo ~hi =
-  match t.kind with
-  | Hash _ -> invalid_arg "Index.locate_range: hash index cannot answer ranges"
-  | Ordered b ->
-    let count = Btree.count_range b ~lo ~hi in
-    if count = 0 then L_empty
-    else L_ranked { b; base = Btree.rank_lt b lo; count }
-  | Trie tr ->
-    let rlo, rhi = Trie.root tr in
-    let slo, shi = Trie.narrow tr ~level:0 ~lo:rlo ~hi:rhi ~klo:lo ~khi:hi in
-    if shi <= slo then L_empty
-    else L_slots { tr; lo = slo; count = shi - slo }
-
-let located_count = function
-  | L_empty -> 0
-  | L_bucket rows -> Wj_util.Vec.length rows
-  | L_ranked { count; _ } -> count
-  | L_slots { count; _ } -> count
-
-let located_nth l k =
-  match l with
-  | L_empty -> invalid_arg "Index.located_nth: empty probe"
-  | L_bucket rows -> Wj_util.Vec.get rows k
-  | L_ranked { b; base; count } ->
-    if k < 0 || k >= count then invalid_arg "Index.located_nth: out of range";
-    snd (Btree.nth b (base + k))
-  | L_slots { tr; lo; count } ->
-    if k < 0 || k >= count then invalid_arg "Index.located_nth: out of range";
-    Trie.row tr (lo + k)
-
-let located_prefetch = function
-  | L_empty -> ()
-  | L_bucket rows -> ignore (Sys.opaque_identity (Wj_util.Vec.get rows 0))
-  | L_ranked { b; base; _ } -> Btree.prefetch_rank b base
-  | L_slots { tr; lo; _ } -> ignore (Sys.opaque_identity (Trie.row tr lo))
-
 (* ---- Cost and accounting ---------------------------------------------- *)
 
 let ceil_log2 n =
@@ -190,16 +131,6 @@ let count_cost t =
   | Ordered b -> 2 * Btree.height b
   (* One binary search per key column. *)
   | Trie tr -> Trie.levels tr * ceil_log2 (Trie.length tr)
-
-(* The marginal cost of selecting the k-th row out of an already-located
-   probe.  The classic path charges [count_cost + probe_cost] for a
-   counted-then-selected step; the issue/resolve path already paid the
-   locate (= count) once, so its select must NOT be charged a second full
-   [probe_cost]: a located hash bucket or trie slot range selects with a
-   plain array read (0), only a counted B+-tree still needs its select
-   descent ([height]). *)
-let resolve_cost t =
-  match t.kind with Hash _ -> 0 | Ordered b -> Btree.height b | Trie _ -> 0
 
 let probes t =
   match t.kind with

@@ -75,51 +75,6 @@ val cursor_count : cursor -> int
 val cursor_next : cursor -> unit
 val cursor_seek : cursor -> int -> unit
 
-(** {2 Located probes: issue/resolve}
-
-    The batched walk engine splits a step's index probe into an {e issue}
-    phase — locate the physical structure that will answer it (hash
-    bucket, B+-tree base rank, trie slot range) and touch its memory
-    through [Sys.opaque_identity] — and a later {e resolve} phase that
-    picks the k-th row out of the located probe.  Issuing every in-flight
-    walk's locate before resolving any of them overlaps the cache misses
-    that otherwise serialize dependent probes (ThunderRW's
-    step-interleaving).  [located_nth l k] returns bit-for-bit the same
-    row id as [nth_eq]/[nth_range] with the same key and [k]. *)
-
-type located
-(** An answered count plus the address of the rows that back it.  Valid
-    as long as the index is not rebuilt. *)
-
-val locate_eq : t -> int -> located
-(** Locate the rows matching a key: one bucket lookup (hash), a count +
-    base-rank descent (B+-tree), one level-0 narrow (trie).  Counted as a
-    [count]-style probe by {!probes}. *)
-
-val locate_range : t -> lo:int -> hi:int -> located
-(** Range variant.  Raises [Invalid_argument] on a hash index. *)
-
-val located_count : located -> int
-(** The neighbour count [d]; 0 for an absent key.  Free — the locate
-    already computed it. *)
-
-val located_nth : located -> int -> int
-(** Row id of the k-th located row; same row as the classic
-    [nth_eq]/[nth_range].  Raises [Invalid_argument] out of range. *)
-
-val located_prefetch : located -> unit
-(** Touch the located rows' backing memory ([Sys.opaque_identity]-guarded
-    so the loads survive optimization): the bucket head, the select path's
-    node arrays, the trie slot's row cell.  No PRNG draws, no probe
-    counts, no visible effect. *)
-
-val resolve_cost : t -> int
-(** Abstract cost of {!located_nth} given an already-located probe: 0 for
-    hash and trie (plain array read), [height] for a B+-tree (the select
-    descent).  The issue/resolve path charges [count_cost + resolve_cost]
-    where the classic path charges [count_cost + probe_cost] — the locate
-    is paid once, not twice. *)
-
 (** {2 Cost and accounting} *)
 
 val probe_cost : t -> int

@@ -17,8 +17,9 @@ val pool : t -> Buffer_pool.t
 val clock : t -> Wj_util.Timer.t
 
 val walker_tracer : t -> Wj_core.Walker.event -> unit
-(** Tracer for {!Wj_core.Online.run} / {!Wj_exec.Exact.aggregate}: charges
-    tuple page accesses through the pool and index probes at cached cost. *)
+(** Tracer for {!Wj_core.Online.run_session} / {!Wj_exec.Exact.aggregate}:
+    charges tuple page accesses through the pool and index probes at
+    cached cost. *)
 
 val ripple_tracer : t -> pos:int -> slot:int -> sequential:bool -> unit
 (** Tracer for {!Wj_ripple.Ripple.run}: sequential retrievals charge one

@@ -100,8 +100,7 @@ and t = {
 }
 
 (* The submitter's handle: the unified result cell plus a typed
-   projection of it (identity for [submit], a constructor match for the
-   legacy per-algorithm shims). *)
+   projection of it. *)
 type 'a session = {
   entry : entry;
   cell : Session.outcome option ref;
@@ -570,64 +569,6 @@ let submit t ?(label = "") ?deadline ?token ?tenant ?pin ?spec
   let trace = Sink.trace (Run_config.resolved_sink cfg) in
   submit_entry t ~label ~deadline ~token ~tenant ~pin ~trace ~start ~finish cell
     Option.some
-
-(* Legacy per-algorithm entry points: thin shims over {!submit} that
-   build the spec and project the unified outcome back to the
-   algorithm's type. *)
-
-let submit_query t ?label ?deadline ?token ?(eager_checks = true)
-    (cfg : Run_config.t) q registry =
-  let s =
-    submit t ?label ?deadline ?token
-      ~spec:(Session_spec.online ~eager_checks ())
-      cfg q registry
-  in
-  {
-    entry = s.entry;
-    cell = s.cell;
-    view = (function Session.Scalar o -> Some o | _ -> None);
-    sched = s.sched;
-  }
-
-let submit_group_by t ?label ?deadline ?token (cfg : Run_config.t) q registry =
-  let s =
-    submit t ?label ?deadline ?token ~spec:(Session_spec.group_by ()) cfg q
-      registry
-  in
-  {
-    entry = s.entry;
-    cell = s.cell;
-    view = (function Session.Groups o -> Some o | _ -> None);
-    sched = s.sched;
-  }
-
-let submit_hybrid t ?label ?deadline ?token ?config ?max_rounds
-    (cfg : Run_config.t) q registry =
-  let s =
-    submit t ?label ?deadline ?token
-      ~spec:(Session_spec.hybrid ?config ?max_rounds ())
-      cfg q registry
-  in
-  {
-    entry = s.entry;
-    cell = s.cell;
-    view = (function Session.Hybrid o -> Some o | _ -> None);
-    sched = s.sched;
-  }
-
-let submit_parallel t ?label ?deadline ?token ?domains ?walks_per_domain
-    (cfg : Run_config.t) q registry =
-  let s =
-    submit t ?label ?deadline ?token
-      ~spec:(Session_spec.parallel ?domains ?walks_per_domain ())
-      cfg q registry
-  in
-  {
-    entry = s.entry;
-    cell = s.cell;
-    view = (function Session.Parallel o -> Some o | _ -> None);
-    sched = s.sched;
-  }
 
 (* ---- Session handles ------------------------------------------------- *)
 

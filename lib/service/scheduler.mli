@@ -217,69 +217,7 @@ val submit :
     [tenant] assigns the session to an admission-quota bucket (see
     {e Admission control} above).  Raises {!Rejected} when the queue
     limit or the tenant's quota is hit — nothing is queued and no id is
-    consumed.
-
-    The legacy [submit_query]/[submit_group_by]/[submit_hybrid]/
-    [submit_parallel] entry points below are deprecated shims over this
-    one. *)
-
-val submit_query :
-  t ->
-  ?label:string ->
-  ?deadline:float ->
-  ?token:Token.t ->
-  ?eager_checks:bool ->
-  Wj_core.Run_config.t ->
-  Wj_core.Query.t ->
-  Wj_core.Registry.t ->
-  Wj_core.Online.outcome session
-  [@@deprecated "use Scheduler.submit with Session_spec.online"]
-(** @deprecated Shim over {!submit} with {!Wj_core.Session_spec.online}. *)
-
-val submit_group_by :
-  t ->
-  ?label:string ->
-  ?deadline:float ->
-  ?token:Token.t ->
-  Wj_core.Run_config.t ->
-  Wj_core.Query.t ->
-  Wj_core.Registry.t ->
-  Wj_core.Online.group_outcome session
-  [@@deprecated "use Scheduler.submit with Session_spec.group_by"]
-(** @deprecated Shim over {!submit} with {!Wj_core.Session_spec.group_by}. *)
-
-val submit_hybrid :
-  t ->
-  ?label:string ->
-  ?deadline:float ->
-  ?token:Token.t ->
-  ?config:Wj_core.Hybrid.config ->
-  ?max_rounds:int ->
-  Wj_core.Run_config.t ->
-  Wj_core.Query.t ->
-  Wj_core.Registry.t ->
-  Wj_core.Hybrid.outcome session
-  [@@deprecated "use Scheduler.submit with Session_spec.hybrid"]
-(** @deprecated Shim over {!submit} with {!Wj_core.Session_spec.hybrid};
-    one engine step is one hybrid round. *)
-
-val submit_parallel :
-  t ->
-  ?label:string ->
-  ?deadline:float ->
-  ?token:Token.t ->
-  ?domains:int ->
-  ?walks_per_domain:int ->
-  Wj_core.Run_config.t ->
-  Wj_core.Query.t ->
-  Wj_core.Registry.t ->
-  Wj_core.Parallel.outcome session
-  [@@deprecated "use Scheduler.submit with Session_spec.parallel"]
-(** @deprecated Shim over {!submit} with
-    {!Wj_core.Session_spec.parallel}.  Parallel sessions are one-shot
-    ({!Wj_core.Parallel.Session}): the whole fan-out runs within the
-    first quantum granted to it.  [result] stays [None] when the session
-    is cancelled while queued. *)
+    consumed. *)
 
 (** {2 Driving the scheduler} *)
 

@@ -211,12 +211,11 @@ let test_parallel_matches_exact () =
   Alcotest.(check bool) "walks merged" true
     (out.final.walks >= Array.fold_left ( + ) 0 out.per_domain_walks)
 
-(* With one domain, a fixed plan and a batch-1 engine, the parallel driver
-   is the online driver on a relabelled seed: worker 0 draws from
-   [par_seed + 1_000_003] where the online driver draws from
-   [seed lxor 0x4F4E4C], and merging the single worker estimator into the
-   empty seed estimator is the identity.  Estimates and CIs must match bit
-   for bit. *)
+(* With one domain and a fixed plan, the parallel driver is the online
+   driver on a relabelled seed: worker 0 draws from [par_seed + 1_000_003]
+   where the online driver draws from [seed lxor 0x4F4E4C], and merging
+   the single worker estimator into the empty seed estimator is the
+   identity.  Estimates and CIs must match bit for bit. *)
 let parallel_online_equiv =
   let q = chain_query_3 21 in
   let reg = Registry.build_for_query q in
@@ -226,7 +225,7 @@ let parallel_online_equiv =
     (fun (pseed, walks) ->
       let par =
         Parallel.run_session ~domains:1 ~walks_per_domain:walks
-          (Run_config.make ~seed:pseed ~batch:1 ~max_time:60.0
+          (Run_config.make ~seed:pseed ~max_time:60.0
              ~plan_choice:(Online.Fixed plan) ())
           q reg
       in
@@ -246,7 +245,8 @@ let parallel_online_equiv =
 let test_parallel_validation () =
   let q = chain_query_3 13 in
   let reg = Registry.build_for_query q in
-  Alcotest.check_raises "domains >= 1" (Invalid_argument "Parallel.run: domains must be >= 1")
+  Alcotest.check_raises "domains >= 1"
+    (Invalid_argument "Parallel.run_session: domains must be >= 1")
     (fun () ->
       ignore
         (Parallel.run_session ~domains:0 (Run_config.make ~max_time:0.01 ()) q reg))

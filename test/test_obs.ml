@@ -191,24 +191,6 @@ let test_walk_reconciliation () =
     "stop reason recorded" true
     (Snapshot.counter_value snap "driver.stop.walk_budget_exhausted" = 1)
 
-let test_batch_reconciliation () =
-  (* The engine path (batch > 1) must count outcomes exactly once too. *)
-  let q = chain_query () in
-  let reg = Registry.build_for_query q in
-  let m = Metrics.create () in
-  ignore
-    (Online.run_session
-       (Run_config.make ~seed:7 ~max_walks:3_000 ~max_time:60.0 ~batch:8
-          ~plan_choice:Online.First_enumerated ~sink:(Sink.of_metrics m) ())
-       q reg);
-  let snap = Snapshot.of_metrics m in
-  let walks = Snapshot.counter_value snap "walker.walks" in
-  Alcotest.(check bool) "walks counted" true (walks >= 3_000);
-  Alcotest.(check int)
-    "walks = successes + failures" walks
-    (Snapshot.counter_value snap "walker.successes"
-    + Snapshot.counter_value snap "walker.failures")
-
 let test_pool_reconciliation () =
   let pool = Buffer_pool.create ~capacity:4 () in
   let hits = ref 0 and misses = ref 0 in
@@ -278,32 +260,6 @@ let test_sink_transparency () =
     (Int64.equal
        (Int64.bits_of_float plain.Online.final.half_width)
        (Int64.bits_of_float full.Online.final.half_width))
-
-(* ---- Run_config sessions vs legacy shims -------------------------------- *)
-
-let run_config_equiv =
-  QCheck.Test.make ~name:"run_session (Run_config) = legacy run" ~count:25
-    QCheck.(
-      quad (int_range 0 10_000) (int_range 100 2_000) (int_range 1 4)
-        (int_range 0 2))
-    (fun (seed, max_walks, batch, conf_ix) ->
-      let confidence = [| 0.9; 0.95; 0.99 |].(conf_ix) in
-      let q = chain_query () in
-      let reg = Registry.build_for_query q in
-      let legacy =
-        (* The equivalence under test is legacy shim vs Run_config path. *)
-        (Online.run [@alert "-deprecated"])
-          ~seed ~confidence ~max_walks ~batch ~max_time:60.0 q reg
-      in
-      let cfg = Run_config.make ~seed ~confidence ~max_walks ~batch ~max_time:60.0 () in
-      let session = Online.run_session cfg q reg in
-      legacy.Online.final.walks = session.Online.final.walks
-      && Int64.equal
-           (Int64.bits_of_float legacy.Online.final.estimate)
-           (Int64.bits_of_float session.Online.final.estimate)
-      && Int64.equal
-           (Int64.bits_of_float legacy.Online.final.half_width)
-           (Int64.bits_of_float session.Online.final.half_width))
 
 (* ---- Prometheus exposition -------------------------------------------- *)
 
@@ -426,7 +382,6 @@ let () =
         [
           Alcotest.test_case "walks = successes + failures" `Quick
             test_walk_reconciliation;
-          Alcotest.test_case "batch engine counts once" `Quick test_batch_reconciliation;
           Alcotest.test_case "pool hits + misses = accesses" `Quick
             test_pool_reconciliation;
           Alcotest.test_case "sim sink charges + gauges" `Quick test_sim_sink_charges;
@@ -435,7 +390,6 @@ let () =
         [
           Alcotest.test_case "sink on = sink off, bit for bit" `Quick
             test_sink_transparency;
-          QCheck_alcotest.to_alcotest run_config_equiv;
           Alcotest.test_case "progress accessors" `Quick test_progress_accessors;
         ] );
     ]
