@@ -811,7 +811,7 @@ let obs_bench () =
   let scrape_plain, scrape_loaded, scrape_count =
     let module Daemon = Wj_daemon.Daemon in
     let module Http = Wj_daemon.Http in
-    let module Json = Wj_daemon.Json in
+    let module Json = Wj_util.Json in
     let catalog = Generator.catalog (Data.get 0.005) in
     let body =
       Json.to_string
@@ -1504,7 +1504,7 @@ let serve_load_bench () =
   header "Daemon: open-loop HTTP load, time to ±1% CI (Q3 chain, loopback)";
   let module Daemon = Wj_daemon.Daemon in
   let module Http = Wj_daemon.Http in
-  let module Json = Wj_daemon.Json in
+  let module Json = Wj_util.Json in
   let d = Data.get (if !quick then 0.005 else 0.01) in
   let catalog = Generator.catalog d in
   let sql =

@@ -239,7 +239,7 @@ let metrics_finish ~json m_opt =
     | None -> ()
     | Some file ->
       Out_channel.with_open_text file (fun oc ->
-          output_string oc (Wj_obs.Snapshot.to_json snap);
+          output_string oc (Wj_util.Json.to_string (Wj_obs.Snapshot.to_json snap));
           output_char oc '\n');
       Printf.printf "metrics JSON written to %s\n" file)
 
@@ -778,7 +778,7 @@ let suggest_term = Term.(const suggest_run $ sf_arg $ seed_arg $ tbl_dir_arg $ s
 
 (* --- wjd (network daemon) ---------------------------------------------- *)
 
-module Json = Wj_daemon.Json
+module Json = Wj_util.Json
 
 let wjd_run sf seed tbl_dir port quantum max_live max_queued tenant_quota cache
     access_log slow_query_ms trace_cap time =

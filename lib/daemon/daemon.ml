@@ -1,3 +1,4 @@
+module Json = Wj_util.Json
 module Scheduler = Wj_service.Scheduler
 module Token = Wj_service.Token
 module Metrics = Wj_obs.Metrics
@@ -753,17 +754,18 @@ let handle_stats t fd =
   let body =
     Mutex.protect t.mu (fun () ->
         refresh_runtime_gauges t;
-        Printf.sprintf
-          {|{"in_flight":%d,"live":%d,"queued":%d,"cache_entries":%d,"traces":%d,"epoch":%d,"metrics":%s}|}
-          (Scheduler.in_flight t.sched ())
-          (Scheduler.live_count t.sched)
-          (Scheduler.queued_count t.sched)
-          (Estimate_cache.length t.cache)
-          (Trace_store.length t.trace_store)
-          (Catalog.epoch t.catalog)
-          (Snapshot.to_json (Snapshot.of_metrics t.metrics)))
+        Json.Obj
+          [
+            ("in_flight", Json.Int (Scheduler.in_flight t.sched ()));
+            ("live", Json.Int (Scheduler.live_count t.sched));
+            ("queued", Json.Int (Scheduler.queued_count t.sched));
+            ("cache_entries", Json.Int (Estimate_cache.length t.cache));
+            ("traces", Json.Int (Trace_store.length t.trace_store));
+            ("epoch", Json.Int (Catalog.epoch t.catalog));
+            ("metrics", Snapshot.to_json (Snapshot.of_metrics t.metrics));
+          ])
   in
-  Http.respond fd ~status:200 (body ^ "\n")
+  Http.respond fd ~status:200 (Json.to_string body ^ "\n")
 
 let handle_metrics t fd =
   let body =

@@ -1,4 +1,5 @@
 module Timer = Wj_util.Timer
+module Buffer_pool = Wj_storage.Buffer_pool
 
 type t = {
   model : Cost_model.t;

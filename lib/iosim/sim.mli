@@ -13,7 +13,7 @@ val create :
 (** [clock] must be virtual (see {!Wj_util.Timer.virtual_}). *)
 
 val model : t -> Cost_model.t
-val pool : t -> Buffer_pool.t
+val pool : t -> Wj_storage.Buffer_pool.t
 val clock : t -> Wj_util.Timer.t
 
 val walker_tracer : t -> Wj_core.Walker.event -> unit

@@ -1,3 +1,5 @@
+module Json = Wj_util.Json
+
 type t = {
   metrics : Metrics.t;
   trace : Trace.t option;
@@ -124,110 +126,82 @@ let scoped_sink t ~scope =
 
 (* ---- JSON export ------------------------------------------------------ *)
 
-let fnum v =
-  if Float.is_nan v then "\"nan\""
-  else if v = infinity then "\"inf\""
-  else if v = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
+let points pts =
+  Json.List (Array.to_list (Array.map (fun (x, y) -> Json.List [ Json.Float x; Json.Float y ]) pts))
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
+let timeseries_json t =
+  Json.Obj
+    (List.map
+       (fun name ->
+         let s = Hashtbl.find t.series name in
+         ( name,
+           Json.Obj
+             [
+               ("pushes", Json.Int (Timeseries.pushes s));
+               ("stride", Json.Int (Timeseries.stride s));
+               ("points", points (Timeseries.to_array s));
+             ] ))
+       (series_names t))
 
-let write_points buf pts =
-  Buffer.add_char buf '[';
-  Array.iteri
-    (fun i (x, y) ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf (Printf.sprintf "[%s,%s]" (fnum x) (fnum y)))
-    pts;
-  Buffer.add_char buf ']'
+let convergence_json t =
+  let fit = function
+    | None -> Json.Null
+    | Some (f : Convergence.fit) ->
+      Json.Obj
+        [ ("c", Json.Float f.c); ("exponent", Json.Float f.exponent); ("points", Json.Int f.points) ]
+  in
+  let plan (a : Convergence.attribution) =
+    Json.Obj
+      [
+        ("plan", Json.Str a.plan);
+        ("attempts", Json.Int a.attempts);
+        ("successes", Json.Int a.successes);
+        ("variance", Json.Float a.variance);
+        ("share", Json.Float a.share);
+      ]
+  in
+  Json.Obj
+    (List.map
+       (fun scope ->
+         let c = Hashtbl.find t.convergence scope in
+         ( scope,
+           Json.Obj
+             [
+               ("fit", fit (Convergence.fit c));
+               ("total_attempts", Json.Int (Convergence.total_attempts c));
+               ("plans", Json.List (List.map plan (Convergence.attribution c)));
+               ("ci", points (Convergence.ci_series c));
+             ] ))
+       (convergence_scopes t))
 
-let write_timeseries t buf =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i name ->
-      let s = Hashtbl.find t.series name in
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    \"";
-      escape buf name;
-      Buffer.add_string buf
-        (Printf.sprintf "\": {\"pushes\":%d,\"stride\":%d,\"points\":" (Timeseries.pushes s)
-           (Timeseries.stride s));
-      write_points buf (Timeseries.to_array s);
-      Buffer.add_char buf '}')
-    (series_names t);
-  Buffer.add_string buf (if t.series_order = [] then "}" else "\n  }")
-
-let write_convergence t buf =
-  Buffer.add_char buf '{';
-  List.iteri
-    (fun i scope ->
-      let c = Hashtbl.find t.convergence scope in
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "\n    \"";
-      escape buf scope;
-      Buffer.add_string buf "\": {\"fit\":";
-      (match Convergence.fit c with
-      | None -> Buffer.add_string buf "null"
-      | Some f ->
-        Buffer.add_string buf
-          (Printf.sprintf "{\"c\":%s,\"exponent\":%s,\"points\":%d}" (fnum f.Convergence.c)
-             (fnum f.Convergence.exponent) f.Convergence.points));
-      Buffer.add_string buf
-        (Printf.sprintf ",\"total_attempts\":%d,\"plans\":[" (Convergence.total_attempts c));
-      List.iteri
-        (fun j (a : Convergence.attribution) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf "{\"plan\":\"";
-          escape buf a.Convergence.plan;
-          Buffer.add_string buf
-            (Printf.sprintf "\",\"attempts\":%d,\"successes\":%d,\"variance\":%s,\"share\":%s}"
-               a.Convergence.attempts a.Convergence.successes (fnum a.Convergence.variance)
-               (fnum a.Convergence.share)))
-        (Convergence.attribution c);
-      Buffer.add_string buf "],\"ci\":";
-      write_points buf (Convergence.ci_series c);
-      Buffer.add_char buf '}')
-    (convergence_scopes t);
-  Buffer.add_string buf (if t.convergence_order = [] then "}" else "\n  }")
-
-let write_spans t buf =
-  match t.trace with
-  | None -> Buffer.add_string buf "{}"
-  | Some tr ->
-    Buffer.add_char buf '{';
-    List.iteri
-      (fun i (name, (seconds, count)) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf "\n    \"";
-        escape buf name;
-        Buffer.add_string buf
-          (Printf.sprintf "\": {\"seconds\":%s,\"count\":%d}" (fnum seconds) count))
-      (Trace.totals tr);
-    Buffer.add_string buf (if Trace.totals tr = [] then "}" else "\n  }")
+let spans_json t =
+  let totals = match t.trace with None -> [] | Some tr -> Trace.totals tr in
+  Json.Obj
+    (List.map
+       (fun (name, (seconds, count)) ->
+         (name, Json.Obj [ ("seconds", Json.Float seconds); ("count", Json.Int count) ]))
+       totals)
 
 (* One object, Chrome-trace loadable: chrome://tracing and Perfetto read
-   the "traceEvents" key and ignore the recorder's extra sections. *)
+   the "traceEvents" key and ignore the recorder's extra sections.  The
+   event array streams straight from the trace buffer; the small derived
+   sections go through the codec. *)
 let to_json t =
   let buf = Buffer.create 4096 in
-  Buffer.add_string buf "{\n  \"traceEvents\": ";
+  Buffer.add_string buf "{\"traceEvents\":";
   (match t.trace with
   | None -> Buffer.add_string buf "[]"
   | Some tr -> Trace.write_events tr buf);
-  Buffer.add_string buf ",\n  \"timeseries\": ";
-  write_timeseries t buf;
-  Buffer.add_string buf ",\n  \"convergence\": ";
-  write_convergence t buf;
-  Buffer.add_string buf ",\n  \"spans\": ";
-  write_spans t buf;
-  Buffer.add_string buf "\n}\n";
+  List.iter
+    (fun (key, v) ->
+      Buffer.add_char buf ',';
+      Json.write_string buf key;
+      Buffer.add_char buf ':';
+      Buffer.add_string buf (Json.to_string v))
+    [
+      ("timeseries", timeseries_json t);
+      ("convergence", convergence_json t);
+      ("spans", spans_json t);
+    ];
+  Buffer.add_string buf "}\n";
   Buffer.contents buf

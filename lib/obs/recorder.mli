@@ -77,5 +77,7 @@ val series_names : t -> string list
     order. *)
 
 val to_json : t -> string
-(** The combined dump: [{"traceEvents":[...], "timeseries":{...},
-    "convergence":{...}, "spans":{...}}]. *)
+(** The combined dump, one line plus a newline:
+    [{"traceEvents":[...],"timeseries":{...},"convergence":{...},"spans":{...}}].
+    The event array streams from {!Trace.write_events}; the other sections
+    are {!Wj_util.Json} values. *)

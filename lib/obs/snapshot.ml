@@ -1,3 +1,5 @@
+module Json = Wj_util.Json
+
 type entry =
   | Counter of int
   | Gauge of float
@@ -94,194 +96,52 @@ let render t =
 
 (* ---- JSON ------------------------------------------------------------- *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
-let float_to_json v =
-  if Float.is_nan v then "\"nan\""
-  else if v = infinity then "\"inf\""
-  else if v = neg_infinity then "\"-inf\""
-  else Printf.sprintf "%.17g" v
-
 let to_json t =
-  let buf = Buffer.create 1024 in
-  let obj title pred show =
-    let rows = List.filter (fun (_, e) -> pred e) t in
-    Buffer.add_string buf (Printf.sprintf "  \"%s\": {" title);
-    List.iteri
-      (fun i (name, e) ->
-        Buffer.add_string buf
-          (Printf.sprintf "%s\n    \"%s\": %s" (if i = 0 then "" else ",") (json_escape name)
-             (show e)))
-      rows;
-    Buffer.add_string buf (if rows = [] then "}" else "\n  }")
+  let section f =
+    Json.Obj (List.filter_map (fun (name, e) -> Option.map (fun v -> (name, v)) (f e)) t)
   in
-  Buffer.add_string buf "{\n";
-  obj "counters"
-    (function Counter _ -> true | _ -> false)
-    (function Counter n -> string_of_int n | _ -> assert false);
-  Buffer.add_string buf ",\n";
-  obj "gauges"
-    (function Gauge _ -> true | _ -> false)
-    (function Gauge v -> float_to_json v | _ -> assert false);
-  Buffer.add_string buf ",\n";
-  obj "histograms"
-    (function Histogram _ -> true | _ -> false)
-    (function
-      | Histogram a ->
-        Printf.sprintf "{\"buckets\": [%s], \"p50\": %d, \"p95\": %d, \"p99\": %d}"
-          (String.concat ", " (Array.to_list (Array.map string_of_int a)))
-          (quantile a 0.50) (quantile a 0.95) (quantile a 0.99)
-      | _ -> assert false);
-  Buffer.add_string buf "\n}\n";
-  Buffer.contents buf
+  Json.Obj
+    [
+      ("counters", section (function Counter n -> Some (Json.Int n) | _ -> None));
+      ("gauges", section (function Gauge v -> Some (Json.Float v) | _ -> None));
+      ( "histograms",
+        section (function
+          | Histogram a ->
+            let q p = Json.Int (quantile a p) in
+            Some
+              (Json.Obj
+                 [
+                   ("buckets", Json.List (Array.to_list (Array.map (fun n -> Json.Int n) a)));
+                   ("p50", q 0.50);
+                   ("p95", q 0.95);
+                   ("p99", q 0.99);
+                 ])
+          | _ -> None) );
+    ]
 
-(* Minimal JSON reader for the shape [to_json] emits: an object of three
-   objects whose values are ints, numbers/strings, or int arrays. *)
-module Parse = struct
-  type state = { s : string; mutable pos : int }
-
-  let error st msg = failwith (Printf.sprintf "Snapshot.of_json: %s at offset %d" msg st.pos)
-
-  let rec skip_ws st =
-    if st.pos < String.length st.s then
-      match st.s.[st.pos] with
-      | ' ' | '\t' | '\n' | '\r' ->
-        st.pos <- st.pos + 1;
-        skip_ws st
-      | _ -> ()
-
-  let peek st = if st.pos < String.length st.s then Some st.s.[st.pos] else None
-
-  let expect st c =
-    skip_ws st;
-    match peek st with
-    | Some c' when c' = c -> st.pos <- st.pos + 1
-    | _ -> error st (Printf.sprintf "expected '%c'" c)
-
-  let try_char st c =
-    skip_ws st;
-    match peek st with
-    | Some c' when c' = c ->
-      st.pos <- st.pos + 1;
-      true
-    | _ -> false
-
-  let string_lit st =
-    expect st '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if st.pos >= String.length st.s then error st "unterminated string";
-      let c = st.s.[st.pos] in
-      st.pos <- st.pos + 1;
-      match c with
-      | '"' -> Buffer.contents buf
-      | '\\' ->
-        if st.pos >= String.length st.s then error st "bad escape";
-        let e = st.s.[st.pos] in
-        st.pos <- st.pos + 1;
-        (match e with
-        | '"' -> Buffer.add_char buf '"'
-        | '\\' -> Buffer.add_char buf '\\'
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'u' ->
-          if st.pos + 4 > String.length st.s then error st "bad \\u escape";
-          let code = int_of_string ("0x" ^ String.sub st.s st.pos 4) in
-          st.pos <- st.pos + 4;
-          Buffer.add_char buf (Char.chr (code land 0xff))
-        | _ -> error st "bad escape");
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        go ()
-    in
-    go ()
-
-  let number st =
-    skip_ws st;
-    let start = st.pos in
-    let is_num_char c =
-      match c with '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true | _ -> false
-    in
-    while st.pos < String.length st.s && is_num_char st.s.[st.pos] do
-      st.pos <- st.pos + 1
-    done;
-    if st.pos = start then error st "expected number";
-    String.sub st.s start (st.pos - start)
-
-  (* Iterate the "name": <value> pairs of an object. *)
-  let obj st f =
-    expect st '{';
-    if not (try_char st '}') then begin
-      let rec pairs () =
-        let name = (skip_ws st; string_lit st) in
-        expect st ':';
-        f name;
-        if try_char st ',' then pairs () else expect st '}'
-      in
-      pairs ()
-    end
-
-  let int_array st =
-    expect st '[';
-    if try_char st ']' then [||]
-    else begin
-      let acc = ref [] in
-      let rec go () =
-        acc := int_of_string (number st) :: !acc;
-        if try_char st ',' then go () else expect st ']'
-      in
-      go ();
-      Array.of_list (List.rev !acc)
-    end
-
-  (* Histograms are written as {"buckets": [...], "p50": .., ...}; the
-     quantiles are derived data, so only the buckets are read back.
-     Pre-object dumps (a bare int array) still parse. *)
-  let histogram_value st =
-    skip_ws st;
-    match peek st with
-    | Some '[' -> int_array st
-    | _ ->
-      let buckets = ref [||] in
-      obj st (fun field ->
-          match field with
-          | "buckets" -> buckets := int_array st
-          | _ -> ignore (number st));
-      !buckets
-
-  let gauge_value st =
-    skip_ws st;
-    match peek st with
-    | Some '"' -> (
-      match string_lit st with
-      | "nan" -> Float.nan
-      | "inf" -> infinity
-      | "-inf" -> neg_infinity
-      | s -> error st ("unknown gauge literal " ^ s))
-    | _ -> float_of_string (number st)
-end
-
-let of_json s =
-  let st = { Parse.s; pos = 0 } in
-  let acc = ref [] in
-  Parse.obj st (fun section ->
-      match section with
-      | "counters" ->
-        Parse.obj st (fun name -> acc := (name, Counter (int_of_string (Parse.number st))) :: !acc)
-      | "gauges" -> Parse.obj st (fun name -> acc := (name, Gauge (Parse.gauge_value st)) :: !acc)
-      | "histograms" ->
-        Parse.obj st (fun name -> acc := (name, Histogram (Parse.histogram_value st)) :: !acc)
-      | s -> Parse.error st ("unknown section " ^ s));
-  List.sort (fun (a, _) (b, _) -> String.compare a b) !acc
+let of_json j =
+  let fail what = failwith ("Snapshot.of_json: " ^ what) in
+  let fields what = function Json.Obj kv -> kv | _ -> fail (what ^ " is not an object") in
+  let int what v = match Json.to_int v with Some n -> n | None -> fail (what ^ " is not an int") in
+  (* Histograms are {"buckets": [...], "p50": .., ...}; the quantiles are
+     derived data, so only the buckets are read back.  Pre-object dumps
+     (a bare bucket array) still parse. *)
+  let buckets name v =
+    match (v, Json.member "buckets" v) with
+    | Json.List xs, _ | _, Some (Json.List xs) -> Array.of_list (List.map (int name) xs)
+    | _ -> fail (name ^ " has no bucket array")
+  in
+  let entry = function
+    | "counters" -> fun name v -> Counter (int name v)
+    | "gauges" -> (
+      fun name v ->
+        match Json.to_float v with Some f -> Gauge f | None -> fail (name ^ " is not a number"))
+    | "histograms" -> fun name v -> Histogram (buckets name v)
+    | s -> fail ("unknown section " ^ s)
+  in
+  List.concat_map
+    (fun (section, body) ->
+      let entry = entry section in
+      List.map (fun (name, v) -> (name, entry name v)) (fields section body))
+    (fields "snapshot" j)
+  |> List.sort (fun (a, _) (b, _) -> String.compare a b)

@@ -1,8 +1,9 @@
 (** Point-in-time view of a {!Metrics.t}, with text and JSON renderings.
 
-    The JSON dump round-trips: [of_json (to_json s)] reconstructs [s]
-    exactly (floats are printed with 17 significant digits; non-finite
-    gauges are encoded as the strings ["nan"], ["inf"], ["-inf"]).
+    The JSON value round-trips through {!Wj_util.Json}:
+    [of_json (Json.parse (Json.to_string (to_json s)))] reconstructs [s]
+    exactly (floats print with 17 significant digits; non-finite gauges
+    are the strings ["nan"], ["inf"], ["-inf"]).
     Histograms are emitted as [{"buckets": [...], "p50": .., "p95": ..,
     "p99": ..}]; the quantiles are derived data and only the buckets are
     read back (a bare bucket array, the pre-flight-recorder shape, still
@@ -40,7 +41,9 @@ val equal : t -> t -> bool
 val render : t -> string
 (** Human-readable table, grouped counters / histograms / gauges. *)
 
-val to_json : t -> string
+val to_json : t -> Wj_util.Json.t
+(** [{"counters": {..}, "gauges": {..}, "histograms": {..}}], each
+    section keyed by family name. *)
 
-val of_json : string -> t
-(** Raises [Failure] on malformed input. *)
+val of_json : Wj_util.Json.t -> t
+(** Raises [Failure] when the value does not have {!to_json}'s shape. *)

@@ -1,3 +1,5 @@
+module Json = Wj_util.Json
+
 type phase = Begin | End | Complete of float | Instant
 
 type event = { name : string; cat : string; ph : phase; ts : float }
@@ -123,24 +125,13 @@ let merge ~into src =
 
 (* ---- Chrome trace_event export --------------------------------------- *)
 
-let escape buf s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-        Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s
-
 let micros seconds = seconds *. 1e6
 
 (* One event as a Chrome trace_event object.  [ts]/[dur] are microseconds
    relative to the trace clock's origin, which Chrome renders fine (it
-   normalises to the earliest timestamp). *)
+   normalises to the earliest timestamp).  Events are streamed rather
+   than built as {!Json.t} values: the fixed-point [%.3f] numbers cost
+   far less than the codec's 17-digit floats on a full buffer. *)
 let write_event buf ev =
   let ph, extra =
     match ev.ph with
@@ -149,13 +140,12 @@ let write_event buf ev =
     | Complete dur -> ("X", Printf.sprintf ",\"dur\":%.3f" (micros dur))
     | Instant -> ("i", ",\"s\":\"t\"")
   in
-  Buffer.add_string buf "{\"name\":\"";
-  escape buf ev.name;
-  Buffer.add_string buf "\",\"cat\":\"";
-  escape buf ev.cat;
+  Buffer.add_string buf "{\"name\":";
+  Json.write_string buf ev.name;
+  Buffer.add_string buf ",\"cat\":";
+  Json.write_string buf ev.cat;
   Buffer.add_string buf
-    (Printf.sprintf "\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":1%s}" ph
-       (micros ev.ts) extra)
+    (Printf.sprintf ",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":1%s}" ph (micros ev.ts) extra)
 
 let write_events t buf =
   Buffer.add_char buf '[';
@@ -174,168 +164,27 @@ let to_json t =
 
 (* ---- Chrome trace_event reader ---------------------------------------- *)
 
-(* A scanner for the trace_event dialect {!to_json} (and the recorder's
-   combined dump) emit: a top-level object whose ["traceEvents"] member
-   is an array of flat event objects.  Unknown members and nested values
-   are skipped, so extra keys next to [traceEvents] are fine. *)
 let events_of_json s =
-  let n = String.length s in
-  let pos = ref 0 in
-  let fail msg = failwith (Printf.sprintf "Trace.events_of_json: %s at %d" msg !pos) in
-  let peek () = if !pos < n then s.[!pos] else '\000' in
-  let skip_ws () =
-    while
-      !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
-    do
-      incr pos
-    done
-  in
-  let expect c =
-    skip_ws ();
-    if peek () = c then incr pos else fail (Printf.sprintf "expected '%c'" c)
-  in
-  let parse_string () =
-    expect '"';
-    let buf = Buffer.create 16 in
-    let rec go () =
-      if !pos >= n then fail "unterminated string";
-      match s.[!pos] with
-      | '"' -> incr pos
-      | '\\' ->
-        incr pos;
-        if !pos >= n then fail "bad escape";
-        (match s.[!pos] with
-        | 'n' -> Buffer.add_char buf '\n'
-        | 't' -> Buffer.add_char buf '\t'
-        | 'r' -> Buffer.add_char buf '\r'
-        | 'b' -> Buffer.add_char buf '\b'
-        | 'f' -> Buffer.add_char buf '\012'
-        | 'u' ->
-          if !pos + 4 >= n then fail "bad unicode escape";
-          let code = int_of_string ("0x" ^ String.sub s (!pos + 1) 4) in
-          if code < 0x80 then Buffer.add_char buf (Char.chr code)
-          else Buffer.add_string buf (Printf.sprintf "\\u%04x" code);
-          pos := !pos + 4
-        | c -> Buffer.add_char buf c);
-        incr pos;
-        go ()
-      | c ->
-        Buffer.add_char buf c;
-        incr pos;
-        go ()
-    in
-    go ();
-    Buffer.contents buf
-  in
-  let parse_number () =
-    skip_ws ();
-    let start = !pos in
-    while
-      !pos < n
-      && (match s.[!pos] with
-         | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
-         | _ -> false)
-    do
-      incr pos
-    done;
-    if !pos = start then fail "number expected";
-    float_of_string (String.sub s start (!pos - start))
-  in
-  let rec skip_value () =
-    skip_ws ();
-    match peek () with
-    | '"' -> ignore (parse_string ())
-    | '{' ->
-      incr pos;
-      skip_until '}'
-    | '[' ->
-      incr pos;
-      skip_until ']'
-    | 't' | 'n' -> pos := !pos + 4
-    | 'f' -> pos := !pos + 5
-    | _ -> ignore (parse_number ())
-  and skip_until close =
-    skip_ws ();
-    if peek () = close then incr pos
-    else
-      let rec go () =
-        skip_value ();
-        skip_ws ();
-        match peek () with
-        | ':' | ',' ->
-          incr pos;
-          go ()
-        | c when c = close -> incr pos
-        | _ -> fail "bad structure"
+  let fail msg = failwith ("Trace.events_of_json: " ^ msg) in
+  let doc = try Json.parse s with Json.Parse_error msg -> fail msg in
+  let event = function
+    | Json.Obj _ as ev ->
+      let str key =
+        match Json.member key ev with
+        | None -> ""
+        | Some (Json.Str s) -> s
+        | Some _ -> fail (key ^ " is not a string")
       in
-      go ()
-  in
-  let parse_event () =
-    expect '{';
-    let name = ref "" and cat = ref "" and ph = ref "" and ts = ref 0.0 in
-    skip_ws ();
-    if peek () = '}' then incr pos
-    else begin
-      let rec member () =
-        let key = parse_string () in
-        expect ':';
-        skip_ws ();
-        (match key with
-        | "name" -> name := parse_string ()
-        | "cat" -> cat := parse_string ()
-        | "ph" -> ph := parse_string ()
-        | "ts" -> ts := parse_number ()
-        | _ -> skip_value ());
-        skip_ws ();
-        match peek () with
-        | ',' ->
-          incr pos;
-          skip_ws ();
-          member ()
-        | '}' -> incr pos
-        | _ -> fail "bad event object"
+      let ts =
+        match Json.member "ts" ev with
+        | None -> 0.0
+        | Some (Json.Int n) -> float_of_int n
+        | Some (Json.Float f) -> f
+        | Some _ -> fail "ts is not a number"
       in
-      member ()
-    end;
-    (!name, !cat, !ph, !ts /. 1e6)
+      (str "name", str "cat", str "ph", ts /. 1e6)
+    | _ -> fail "event is not an object"
   in
-  skip_ws ();
-  expect '{';
-  let events = ref [] in
-  skip_ws ();
-  if peek () = '}' then incr pos
-  else begin
-    let rec member () =
-      let key = parse_string () in
-      expect ':';
-      skip_ws ();
-      (if key = "traceEvents" then begin
-         expect '[';
-         skip_ws ();
-         if peek () = ']' then incr pos
-         else
-           let rec elt () =
-             events := parse_event () :: !events;
-             skip_ws ();
-             match peek () with
-             | ',' ->
-               incr pos;
-               elt ()
-             | ']' -> incr pos
-             | _ -> fail "bad traceEvents array"
-           in
-           elt ()
-       end
-       else skip_value ());
-      skip_ws ();
-      match peek () with
-      | ',' ->
-        incr pos;
-        skip_ws ();
-        member ()
-      | '}' -> incr pos
-      | _ -> fail "bad top-level object"
-    in
-    member ()
-  end;
-  List.rev !events
+  match Json.member "traceEvents" doc with
+  | Some (Json.List events) -> List.map event events
+  | _ -> fail "no traceEvents array"

@@ -72,16 +72,21 @@ val merge : into:t -> t -> unit
 
 val write_events : t -> Buffer.t -> unit
 (** Append the JSON array of trace events (the value of the
-    ["traceEvents"] key) to [buf]. *)
+    ["traceEvents"] key) to [buf].  Streamed, with [ts]/[dur] as
+    fixed-point microseconds; names go through
+    {!Wj_util.Json.write_string}. *)
 
 val to_json : t -> string
 (** The complete Chrome-loadable object: [{"traceEvents":[...]}]. *)
 
 val events_of_json : string -> (string * string * string * float) list
-(** Read a Chrome trace document back: [(name, cat, ph, ts_seconds)]
-    per event, in array order.  Accepts anything {!to_json} or
-    {!Recorder.to_json} produced — extra members beside [traceEvents]
-    are skipped.  Raises [Failure] on malformed input.  This is the
-    verification half of the exporter: [events_of_json (to_json t)]
+(** Read a Chrome trace document back through {!Wj_util.Json.parse}:
+    [(name, cat, ph, ts_seconds)] per element of its [traceEvents]
+    array, in array order.  Accepts anything {!to_json} or
+    {!Recorder.to_json} produced — other members are ignored, and an
+    event's missing [name]/[cat]/[ph]/[ts] reads as [""] / [0.0].
+    Raises [Failure] on malformed JSON, a document without a
+    [traceEvents] array, or an event field of the wrong type.  This is
+    the verification half of the exporter: [events_of_json (to_json t)]
     returns one tuple per buffered event, with timestamps equal up to
     the microsecond formatting of the writer. *)

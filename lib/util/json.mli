@@ -1,12 +1,18 @@
-(** Dependency-free JSON values: the daemon's wire currency.
+(** Dependency-free JSON values: the one codec for everything that leaves
+    the process as JSON — daemon wire lines, [/stats], metric snapshots,
+    Chrome traces and flight records.
 
     One constructor per JSON shape, a printer and a recursive-descent
     parser.  Numbers keep the int/float split OCaml-side ([Int] prints
     without a decimal point, [Float] with 17 significant digits so float
     bits round-trip); both parse back from the same JSON number token
-    (a token with [.], [e] or [E] becomes [Float]).  Strings are assumed
-    UTF-8 and escaped per RFC 8259 ([\uXXXX] escapes decode to raw bytes
-    for the BMP's Latin-1 range and are re-escaped on print). *)
+    (a token with [.], [e] or [E] becomes [Float]).  Strings are byte
+    strings: the printer escapes quotes, backslashes and control bytes
+    and passes every other byte through, so UTF-8 text prints as itself.
+    The parser decodes each [\uXXXX] escape (exactly four hex digits) to
+    the UTF-8 bytes of its code point, joining a [\uD8xx\uDCxx]
+    surrogate pair into one 4-byte sequence; a lone surrogate is a
+    {!Parse_error}. *)
 
 type t =
   | Null
@@ -23,7 +29,11 @@ exception Parse_error of string
 val to_string : t -> string
 (** Compact (single-line) rendering.  Non-finite floats — JSON has no
     syntax for them — are encoded as the strings ["nan"], ["inf"],
-    ["-inf"], matching {!Wj_obs.Snapshot}'s convention. *)
+    ["-inf"], which {!to_float} decodes. *)
+
+val write_string : Buffer.t -> string -> unit
+(** Append one quoted, escaped string literal — for writers that stream a
+    document too large or too hot to build as a {!t} first. *)
 
 val parse : string -> t
 (** Raises {!Parse_error} on malformed input or trailing garbage. *)

@@ -11,7 +11,7 @@
 
 module Daemon = Wj_daemon.Daemon
 module Http = Wj_daemon.Http
-module Json = Wj_daemon.Json
+module Json = Wj_util.Json
 module Estimate_cache = Wj_daemon.Estimate_cache
 module Normalize = Wj_sql.Normalize
 module Parser = Wj_sql.Parser
@@ -348,7 +348,7 @@ let test_cache_hit_and_staleness () =
       let stats = Http.fetch (Daemon.url d ^ "/stats") in
       let snap =
         match Json.member "metrics" (Json.parse (String.trim stats.Http.resp_body)) with
-        | Some m -> Snapshot.of_json (Json.to_string m)
+        | Some m -> Snapshot.of_json m
         | None -> Alcotest.fail "no metrics in /stats"
       in
       Alcotest.(check int) "one hit counted" 1 (Snapshot.counter_value snap "cache.hits");

@@ -1,6 +1,6 @@
 (* Tests for wj_iosim: LRU buffer pool, cost model, simulation glue. *)
 
-module Buffer_pool = Wj_iosim.Buffer_pool
+module Buffer_pool = Wj_storage.Buffer_pool
 module Cost_model = Wj_iosim.Cost_model
 module Sim = Wj_iosim.Sim
 module Timer = Wj_util.Timer

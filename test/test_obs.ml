@@ -22,7 +22,8 @@ module Table = Wj_storage.Table
 module Schema = Wj_storage.Schema
 module Value = Wj_storage.Value
 module Timer = Wj_util.Timer
-module Buffer_pool = Wj_iosim.Buffer_pool
+module Json = Wj_util.Json
+module Buffer_pool = Wj_storage.Buffer_pool
 module Sim = Wj_iosim.Sim
 module Estimator = Wj_stats.Estimator
 
@@ -116,9 +117,9 @@ let test_snapshot_roundtrip () =
   Gauge.set (Metrics.gauge m "charged") 0.1234567890123456789;
   Gauge.set (Metrics.gauge m "weird.nan") nan;
   Gauge.set (Metrics.gauge m "weird.inf") infinity;
+  Gauge.set (Metrics.gauge m "weird.neginf") neg_infinity;
   let snap = Snapshot.of_metrics m in
-  let json = Snapshot.to_json snap in
-  let back = Snapshot.of_json json in
+  let back = Snapshot.of_json (Json.parse (Json.to_string (Snapshot.to_json snap))) in
   Alcotest.(check bool) "round-trips" true (Snapshot.equal snap back);
   Alcotest.(check int) "counter read" 12345 (Snapshot.counter_value back "walks");
   Alcotest.(check (array int))
@@ -130,6 +131,9 @@ let test_snapshot_roundtrip () =
   Alcotest.(check bool)
     "inf survives" true
     (Snapshot.gauge_value back "weird.inf" = infinity);
+  Alcotest.(check bool)
+    "-inf survives" true
+    (Snapshot.gauge_value back "weird.neginf" = neg_infinity);
   (* Render mentions every family name. *)
   let contains_sub s sub =
     let n = String.length s and m = String.length sub in
@@ -342,6 +346,52 @@ let test_trace_json_roundtrip () =
   Alcotest.(check int) "balanced" 0 (Trace.depth tr);
   Alcotest.(check int) "no drops" 0 (Trace.dropped tr)
 
+(* Shape mismatches raise [Failure]; an integral gauge (how pre-codec
+   dumps printed 1.0) still reads back. *)
+let test_snapshot_json_malformed () =
+  List.iter
+    (fun (label, doc) ->
+      match Snapshot.of_json (Json.parse doc) with
+      | _ -> Alcotest.failf "%s: accepted %s" label doc
+      | exception Failure _ -> ())
+    [
+      ("not an object", "[]");
+      ("section not an object", {|{"counters": []}|});
+      ("unknown section", {|{"timers": {}}|});
+      ("float counter", {|{"counters": {"x": 1.5}}|});
+      ("string gauge", {|{"gauges": {"x": "fast"}}|});
+      ("histogram without buckets", {|{"histograms": {"h": {"p50": 0}}}|});
+      ("non-int bucket", {|{"histograms": {"h": [1, "2"]}}|});
+    ];
+  let back = Snapshot.of_json (Json.parse {|{"gauges": {"g": 1}, "counters": {"c": 2}}|}) in
+  Alcotest.(check (float 0.0)) "integral gauge" 1.0 (Snapshot.gauge_value back "g");
+  Alcotest.(check (list string)) "sorted by name" [ "c"; "g" ] (List.map fst back)
+
+let test_trace_json_malformed () =
+  List.iter
+    (fun (label, doc) ->
+      match Trace.events_of_json doc with
+      | _ -> Alcotest.failf "%s: accepted %s" label doc
+      | exception Failure _ -> ())
+    [
+      ("not JSON", {|{"traceEvents": [|});
+      ("no traceEvents", "{}");
+      ("not an object", "[]");
+      ("traceEvents not an array", {|{"traceEvents": {}}|});
+      ("event not an object", {|{"traceEvents": [1]}|});
+      ("name not a string", {|{"traceEvents": [{"name": 1}]}|});
+      ("ts not a number", {|{"traceEvents": [{"ts": "0"}]}|});
+    ];
+  Alcotest.(check (list (pair string string)))
+    "missing fields default, other members ignored"
+    [ ("a", "M") ]
+    (List.map
+       (fun (n, c, ph, ts) ->
+         Alcotest.(check string) "no cat" "" c;
+         Alcotest.(check (float 0.0)) "no ts" 0.0 ts;
+         (n, ph))
+       (Trace.events_of_json {|{"other": {"x": [1]}, "traceEvents": [{"name": "a", "ph": "M"}]}|}))
+
 let test_progress_accessors () =
   let p =
     Progress.make ~elapsed:1.0 ~walks:10 ~successes:4 ~tuples:30 ~estimate:5.0
@@ -365,7 +415,10 @@ let () =
           Alcotest.test_case "kind mismatch" `Quick test_metrics_kind_mismatch;
         ] );
       ( "snapshot",
-        [ Alcotest.test_case "render + JSON round-trip" `Quick test_snapshot_roundtrip ]
+        [
+          Alcotest.test_case "render + JSON round-trip" `Quick test_snapshot_roundtrip;
+          Alcotest.test_case "malformed JSON" `Quick test_snapshot_json_malformed;
+        ]
       );
       ( "prom",
         [
@@ -374,6 +427,7 @@ let () =
             test_prom_kind_collision;
           Alcotest.test_case "chrome trace JSON round-trip" `Quick
             test_trace_json_roundtrip;
+          Alcotest.test_case "chrome trace JSON malformed" `Quick test_trace_json_malformed;
         ] );
       ( "driver",
         [ Alcotest.test_case "poll-mask validation" `Quick test_polls_mask_validation ]

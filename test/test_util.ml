@@ -1,9 +1,10 @@
-(* Tests for wj_util: PRNG, Vec, Normal, Timer. *)
+(* Tests for wj_util: PRNG, Vec, Normal, Timer, Json. *)
 
 module Prng = Wj_util.Prng
 module Vec = Wj_util.Vec
 module Normal = Wj_util.Normal
 module Timer = Wj_util.Timer
+module Json = Wj_util.Json
 
 let check_float = Alcotest.(check (float 1e-9))
 
@@ -306,6 +307,127 @@ let test_timer_time_it () =
   Alcotest.(check int) "result" 42 x;
   Alcotest.(check bool) "non-negative duration" true (dt >= 0.0)
 
+(* ---- Json ------------------------------------------------------------ *)
+
+(* Structural equality with floats compared bit for bit. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Float x, Json.Float y -> Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.List xs, Json.List ys -> List.equal json_equal xs ys
+  | Json.Obj xs, Json.Obj ys ->
+    List.equal (fun (k1, v1) (k2, v2) -> String.equal k1 k2 && json_equal v1 v2) xs ys
+  | a, b -> a = b
+
+let json_gen =
+  let open QCheck.Gen in
+  (* Any byte, control characters and non-UTF-8 sequences included. *)
+  let bytes = string_size ~gen:char (int_bound 12) in
+  let finite_float =
+    map
+      (fun bits ->
+        let f = Int64.float_of_bits bits in
+        if Float.is_finite f then f else 0.5)
+      ui64
+  in
+  sized
+  @@ fix (fun self n ->
+         let leaf =
+           oneof
+             [
+               return Json.Null;
+               map (fun b -> Json.Bool b) bool;
+               map (fun i -> Json.Int i) int;
+               map (fun f -> Json.Float f) finite_float;
+               map (fun f -> Json.Float f) (float_range (-1e6) 1e6);
+               map (fun s -> Json.Str s) bytes;
+             ]
+         in
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (2, leaf);
+               (1, map (fun xs -> Json.List xs) (list_size (int_bound 5) (self (n / 3))));
+               ( 1,
+                 map
+                   (fun kv -> Json.Obj kv)
+                   (list_size (int_bound 5) (pair bytes (self (n / 3)))) );
+             ])
+
+let json_roundtrip_test =
+  QCheck.Test.make ~name:"json parse (to_string v) = v" ~count:500
+    (QCheck.make ~print:Json.to_string json_gen)
+    (fun v -> json_equal v (Json.parse (Json.to_string v)))
+
+(* Strings that look like JSON fragments hit the parser's error paths far
+   more often than uniform bytes; truncated valid documents cover the
+   "unexpected end" branches. *)
+let json_fuzz_test =
+  let open QCheck.Gen in
+  let alphabet = "{}[]\":,\\/u0123456789abcdefABCDEFDd.eE+- \ntrulsnx_" in
+  let jsonish =
+    string_size ~gen:(map (String.get alphabet) (int_bound (String.length alphabet - 1))) (int_bound 40)
+  in
+  let truncated =
+    json_gen >>= fun v ->
+    let s = Json.to_string v in
+    map (fun k -> String.sub s 0 k) (int_bound (String.length s))
+  in
+  QCheck.Test.make ~name:"json parse raises only Parse_error" ~count:2000
+    (QCheck.make ~print:String.escaped
+       (oneof [ jsonish; string_size ~gen:char (int_bound 40); truncated ]))
+    (fun s -> match Json.parse s with _ -> true | exception Json.Parse_error _ -> true)
+
+let parse_str s = match Json.parse s with Json.Str s -> s | _ -> Alcotest.fail "not a string"
+
+let test_json_unicode_escapes () =
+  let check = Alcotest.(check string) in
+  check "ASCII" "A\000" (parse_str {|"\u0041\u0000"|});
+  check "Latin-1 as UTF-8" "caf\xc3\xa9" (parse_str {|"caf\u00e9"|});
+  check "upper-case hex" "caf\xc3\xa9" (parse_str {|"caf\u00E9"|});
+  check "two-byte" "\xd7\x90" (parse_str {|"\u05d0"|});
+  check "three-byte" "\xe2\x82\xac" (parse_str {|"\u20ac"|});
+  check "surrogate pair" "\xf0\x9f\x98\x80" (parse_str {|"\ud83d\ude00"|});
+  check "top of the range" "\xf4\x8f\xbf\xbf" (parse_str {|"\udbff\udfff"|});
+  check "escapes next to raw bytes" "a\n\xc3\xa9b" (parse_str "\"a\\n\xc3\xa9b\"");
+  List.iter
+    (fun (label, doc) ->
+      match Json.parse doc with
+      | _ -> Alcotest.failf "%s: %s parsed" label doc
+      | exception Json.Parse_error _ -> ())
+    [
+      ("lone high surrogate", {|"\ud83d"|});
+      ("high surrogate then text", {|"\ud83dx"|});
+      ("high surrogate then non-surrogate", {|"\ud83d\u0041"|});
+      ("two high surrogates", {|"\ud83d\ud83d"|});
+      ("lone low surrogate", {|"\ude00"|});
+      ("underscore in hex", {|"\u0_1f"|});
+      ("sign in hex", {|"\u+01f"|});
+      ("three hex digits", {|"\u01f"|});
+      ("non-hex digit", {|"\u00g0"|});
+    ]
+
+let test_json_malformed () =
+  List.iter
+    (fun doc ->
+      match Json.parse doc with
+      | _ -> Alcotest.failf "%S parsed" doc
+      | exception Json.Parse_error _ -> ())
+    [ ""; " "; "{"; "[1,]"; "{\"a\" 1}"; "{\"a\":1,}"; "\"abc"; "tru"; "nul"; "-"; "1 2"; "[1]x"; "\"\\x\"" ]
+
+let test_json_printing () =
+  let check = Alcotest.(check string) in
+  check "integral float keeps a point" "[1.0,-0.0,1e+20]"
+    (Json.to_string (Json.List [ Json.Float 1.0; Json.Float (-0.0); Json.Float 1e20 ]));
+  check "non-finite floats are strings" {|["nan","inf","-inf"]|}
+    (Json.to_string (Json.List (List.map (fun f -> Json.Float f) [ Float.nan; infinity; neg_infinity ])));
+  check "escapes control bytes only"
+    ({|"q\"b\\n\nr\rt\tc\u0001\u001f\b\f|} ^ "\x7f\xc3\xa9\"")
+    (Json.to_string (Json.Str "q\"b\\n\nr\rt\tc\001\031\b\012\127\xc3\xa9"));
+  let buf = Buffer.create 16 in
+  Json.write_string buf "k\n";
+  check "string writer" {|"k\n"|} (Buffer.contents buf)
+
 let () =
   Alcotest.run "wj_util"
     [
@@ -351,5 +473,13 @@ let () =
           Alcotest.test_case "wall clock" `Quick test_timer_wall;
           Alcotest.test_case "hybrid clock" `Quick test_timer_hybrid;
           Alcotest.test_case "time_it" `Quick test_timer_time_it;
+        ] );
+      ( "json",
+        [
+          QCheck_alcotest.to_alcotest json_roundtrip_test;
+          QCheck_alcotest.to_alcotest json_fuzz_test;
+          Alcotest.test_case "unicode escapes" `Quick test_json_unicode_escapes;
+          Alcotest.test_case "malformed documents" `Quick test_json_malformed;
+          Alcotest.test_case "printing" `Quick test_json_printing;
         ] );
     ]
