@@ -70,8 +70,8 @@ let rel_err est truth =
 (* Every online cell below runs through the Run_config session path; these
    forward the bench's global seed. *)
 let online_run ?target ?max_time ?max_walks ?report_every ?clock ?plan_choice ?sink
-    ?eager_checks ?tracer ?on_report q reg =
-  Online.run_session ?eager_checks ?tracer ?on_report
+    ?eager_checks ?on_report q reg =
+  Online.run_session ?eager_checks ?on_report
     (Wj_core.Run_config.make ~seed ?target ?max_time ?max_walks ?report_every
        ?clock ?plan_choice ?sink ())
     q reg
@@ -377,7 +377,7 @@ let fig13 () =
           let sim2 = Sim.create ~model ~pool_pages ~clock:clock2 () in
           let wj =
             online_run ~clock:clock2 ~max_time:vcap
-              ~target:(Target.relative target) ~tracer:(Sim.walker_tracer sim2) q reg
+              ~target:(Target.relative target) ~sink:(Sim.sink sim2) q reg
           in
           (* Wander join with data resident (the "sufficient memory" side of
              the paper's one-time-cost observation). *)
@@ -390,7 +390,7 @@ let fig13 () =
             q.Query.tables;
           let wj_warm =
             online_run ~clock:clock3 ~max_time:vcap
-              ~target:(Target.relative target) ~tracer:(Sim.walker_tracer sim3) q reg
+              ~target:(Target.relative target) ~sink:(Sim.sink sim3) q reg
           in
           Printf.printf "%-4s %-5s  %14.1f %14s %14s %16s\n%!" (Queries.name_of spec)
             label t_full
@@ -441,7 +441,7 @@ let tab2 () =
             let clock = Timer.hybrid () in
             let sim = Sim.create ~model ~pool_pages ~clock () in
             online_run ~clock ~max_time:vcap ~target:(Target.relative 0.05)
-              ~plan_choice ~tracer:(Sim.walker_tracer sim) q reg
+              ~plan_choice ~sink:(Sim.sink sim) q reg
           in
           let o1 = run_sim (Online.Optimize Optimizer.default_config) in
           let o2 = run_sim (Online.Fixed (pg_plan q reg)) in
@@ -512,7 +512,7 @@ let tab3 () =
           let clock = Timer.hybrid () in
           let sim = Sim.create ~model ~pool_pages ~clock () in
           let wjv =
-            online_run ~clock ~max_time:budget_v ~tracer:(Sim.walker_tracer sim) q
+            online_run ~clock ~max_time:budget_v ~sink:(Sim.sink sim) q
               reg
           in
           let clock2 = Timer.hybrid () in

@@ -13,19 +13,17 @@
     replicates: R disjoint estimator streams run side by side and the CI is
     the normal interval over the R replicate estimates. *)
 
-type config = Session_spec.hybrid_config = {
+type config = {
   replicates : int;  (** default 8 *)
   max_paths_per_component : int;
       (** freeze a component's walking once this many successful paths are
           stored (keeps the cross product bounded); default 512 *)
   trial_walks_per_plan : int;  (** per-component plan selection; default 50 *)
 }
-(** Re-export of {!Session_spec.hybrid_config}: the same record is the
-    payload of [Session_spec.Hybrid], so spec-driven and direct callers
-    share one type. *)
 
 val default_config : config
-(** = {!Session_spec.default_hybrid_config}. *)
+(** [{ replicates = 8; max_paths_per_component = 512;
+      trial_walks_per_plan = 50 }] *)
 
 type outcome = {
   estimate : float;
@@ -40,34 +38,6 @@ type outcome = {
       (** the unified progress view of the run ([walks] = component walks,
           [successes] = successful component paths) *)
 }
-
-module Session : sig
-  type t
-  (** A resumable hybrid run; one {!advance} step is one round (every live
-      replicate x component walks once).  See {!Online.Session} for the
-      session model. *)
-
-  val advance : t -> max_steps:int -> Engine.Driver.stop_reason option
-  val interrupt : t -> Engine.Driver.stop_reason -> unit
-  val stopped : t -> Engine.Driver.stop_reason option
-
-  val rounds : t -> int
-  (** Rounds performed so far. *)
-
-  val outcome : t -> outcome
-  (** Raises [Invalid_argument] while the session is still running. *)
-end
-
-val start_session :
-  ?config:config ->
-  ?max_rounds:int ->
-  Run_config.t ->
-  Query.t ->
-  Registry.t ->
-  Session.t
-(** Decompose, choose component plans (running their trial walks),
-    prepare their walkers, and return the handle without performing any
-    rounds.  Raises as {!run_session}. *)
 
 val run_session :
   ?config:config ->

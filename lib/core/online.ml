@@ -46,32 +46,41 @@ let make_report ~confidence ~elapsed est =
     half_width = Estimator.half_width est ~confidence;
   }
 
-let pick_plan ~entry ~plan_choice ~eager_checks ~tracer ~sink ?convergence q
-    registry prng clock =
-  match plan_choice with
-  | Fixed plan ->
-    ( Walker.prepare ~eager_checks ?tracer ~sink q registry plan,
-      plan,
-      Estimator.create q.Query.agg,
-      0.0,
-      0 )
-  | First_enumerated -> (
-    match Walk_plan.enumerate ~max_plans:1 q registry with
-    | [] -> invalid_arg (entry ^ ": query admits no walk plan")
-    | plan :: _ ->
-      ( Walker.prepare ~eager_checks ?tracer ~sink q registry plan,
+let pick_plan ~entry ~plan_choice ~eager_checks ~sink ?convergence q registry prng
+    clock =
+  let ((_, plan, _, _, _) as picked) =
+    match plan_choice with
+    | Fixed plan ->
+      ( Walker.prepare ~eager_checks ~sink q registry plan,
         plan,
         Estimator.create q.Query.agg,
         0.0,
-        0 ))
-  | Optimize config ->
-    let t0 = Timer.elapsed clock in
-    let r =
-      Optimizer.choose ~config ~eager_checks ?tracer ~sink ?convergence q registry
-        prng
-    in
-    let dt = Timer.elapsed clock -. t0 in
-    (r.best, r.best_plan, r.trial_estimator, dt, r.total_trial_walks)
+        0 )
+    | First_enumerated -> (
+      match Walk_plan.enumerate ~max_plans:1 q registry with
+      | [] -> invalid_arg (entry ^ ": query admits no walk plan")
+      | plan :: _ ->
+        ( Walker.prepare ~eager_checks ~sink q registry plan,
+          plan,
+          Estimator.create q.Query.agg,
+          0.0,
+          0 ))
+    | Optimize config ->
+      let t0 = Timer.elapsed clock in
+      let r =
+        Optimizer.choose ~config ~eager_checks ~sink ?convergence q registry prng
+      in
+      let dt = Timer.elapsed clock -. t0 in
+      (r.best, r.best_plan, r.trial_estimator, dt, r.total_trial_walks)
+  in
+  if Sink.wants_reports sink then
+    Sink.emit sink
+      (Wj_obs.Event.Plan_chosen
+         {
+           description = Walk_plan.describe q plan;
+           granularity = Walk_plan.granularity plan;
+         });
+  picked
 
 module Session = struct
   type t = {
@@ -94,7 +103,7 @@ module Session = struct
     t.result ()
 end
 
-let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t) q
+let start_session ?(eager_checks = true) ?on_report (cfg : Run_config.t) q
     registry =
   let clock = Run_config.clock_or_wall cfg in
   (* The recorder scope is derived from the configured sink BEFORE the
@@ -118,7 +127,7 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
   let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
   let prepared, plan, est, optimizer_time, optimizer_walks =
     pick_plan ~entry:"Online.run_session" ~plan_choice:cfg.plan_choice ~eager_checks
-      ~tracer ~sink ?convergence q registry prng clock
+      ~sink ?convergence q registry prng clock
   in
   (* Trial walks are already inside [est] (the merged trial estimator) and
      already attributed per plan by the optimizer; snapshot them so the
@@ -126,13 +135,6 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
      without any per-walk recorder work. *)
   let trial_walks = Estimator.n est in
   let trial_successes = Estimator.successes est in
-  if Sink.wants_reports sink then
-    Sink.emit sink
-      (Wj_obs.Event.Plan_chosen
-         {
-           description = Walk_plan.describe q plan;
-           granularity = Walk_plan.granularity plan;
-         });
   let history = ref [] in
   let emit_report () =
     let r = make_report ~confidence:cfg.confidence ~elapsed:(Timer.elapsed clock) est in
@@ -191,8 +193,8 @@ let start_session ?(eager_checks = true) ?tracer ?on_report (cfg : Run_config.t)
   in
   { Session.driver; confidence = cfg.confidence; clock; est; result }
 
-let run_session ?eager_checks ?tracer ?on_report (cfg : Run_config.t) q registry =
-  let s = start_session ?eager_checks ?tracer ?on_report cfg q registry in
+let run_session ?eager_checks ?on_report (cfg : Run_config.t) q registry =
+  let s = start_session ?eager_checks ?on_report cfg q registry in
   let (_ : stop_reason) = Engine.Driver.drain s.Session.driver in
   Session.outcome s
 
@@ -230,17 +232,10 @@ let start_group_by_session ?on_group_report (cfg : Run_config.t) q registry =
      contributes metrics sampling and tracing here — no convergence scope. *)
   let sink = Run_config.resolved_sink cfg in
   let prng = Prng.create (cfg.seed lxor 0x4F4E4C) in  (* "ONL" *)
-  let prepared, plan, _trials, _, _ =
+  let prepared, _, _, _, _ =
     pick_plan ~entry:"Online.run_group_by_session" ~plan_choice:cfg.plan_choice
-      ~eager_checks:true ~tracer:None ~sink q registry prng clock
+      ~eager_checks:true ~sink q registry prng clock
   in
-  if Sink.wants_reports sink then
-    Sink.emit sink
-      (Wj_obs.Event.Plan_chosen
-         {
-           description = Walk_plan.describe q plan;
-           granularity = Walk_plan.granularity plan;
-         });
   (* The optimizer's trial estimator cannot be split by group (it does not
      retain paths), so group estimators start from zero walks here. *)
   let groups : (Value.t, Estimator.t) Hashtbl.t = Hashtbl.create 16 in

@@ -49,6 +49,25 @@ type plan_choice = Run_config.plan_choice =
       (** the plan in the order the query was written — the "PG plan"
           baseline of Table 2 *)
 
+val pick_plan :
+  entry:string ->
+  plan_choice:plan_choice ->
+  eager_checks:bool ->
+  sink:Wj_obs.Sink.t ->
+  ?convergence:Wj_obs.Convergence.t ->
+  Query.t ->
+  Registry.t ->
+  Wj_util.Prng.t ->
+  Wj_util.Timer.t ->
+  Walker.prepared * Walk_plan.t * Wj_stats.Estimator.t * float * int
+(** Plan selection shared by every driver that walks one plan (Online
+    scalar and group-by, [Parallel]): returns the prepared walker, the
+    plan, the optimizer's merged trial estimator (empty for a fixed or
+    first-enumerated plan), the seconds and walks the trials took, and
+    emits [Plan_chosen] to [sink].  Optimizer trials draw from [prng] and
+    are timed on the clock.  Raises [Invalid_argument] when the query
+    admits no walk plan ([entry] names the caller in the message). *)
+
 (** {2 Resumable sessions}
 
     A session is a run reified as a value: plan selection and driver setup
@@ -81,7 +100,6 @@ end
 
 val start_session :
   ?eager_checks:bool ->
-  ?tracer:(Walker.event -> unit) ->
   ?on_report:(report -> unit) ->
   Run_config.t ->
   Query.t ->
@@ -93,7 +111,6 @@ val start_session :
 
 val run_session :
   ?eager_checks:bool ->
-  ?tracer:(Walker.event -> unit) ->
   ?on_report:(report -> unit) ->
   Run_config.t ->
   Query.t ->

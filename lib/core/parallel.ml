@@ -23,24 +23,10 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
   let sink = cfg.sink in
   let prng = Prng.create (cfg.seed lxor 0x504152) (* "PAR" *) in
   (* Plan selection happens once, sequentially, with the full sink. *)
-  let plan, seed_estimator =
-    match cfg.plan_choice with
-    | Run_config.Fixed plan -> (plan, Estimator.create q.Query.agg)
-    | Run_config.First_enumerated -> (
-      match Walk_plan.enumerate ~max_plans:1 q registry with
-      | [] -> invalid_arg "Parallel.run_session: query admits no walk plan"
-      | plan :: _ -> (plan, Estimator.create q.Query.agg))
-    | Run_config.Optimize config ->
-      let r = Optimizer.choose ~config ~sink q registry prng in
-      (r.best_plan, r.trial_estimator)
+  let _, plan, seed_estimator, _, _ =
+    Online.pick_plan ~entry:"Parallel.run_session" ~plan_choice:cfg.plan_choice
+      ~eager_checks:true ~sink q registry prng clock
   in
-  if Sink.wants_reports sink then
-    Sink.emit sink
-      (Wj_obs.Event.Plan_chosen
-         {
-           description = Walk_plan.describe q plan;
-           granularity = Walk_plan.granularity plan;
-         });
   (* Spawned domains get a metrics-only view of the sink: the flat counter
      cells are shared (increments race benignly, counts are approximate
      under contention — the documented tradeoff), but the event callback
@@ -79,55 +65,4 @@ let run_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
     domains_used = domains;
     per_domain_walks;
     stopped_because = own_reason;
-  }
-
-(* A parallel run blocks on its spawned domains, so its session handle is
-   one-shot: the first [advance] executes the entire fan-out regardless of
-   [max_steps].  [interrupt] before that first advance skips the run; once
-   running, cancellation goes through [cfg.should_stop] like anywhere else. *)
-module Session = struct
-  type t = {
-    exec : unit -> outcome;
-    mutable result : outcome option;
-    mutable stop : Engine.Driver.stop_reason option;
-    cancelled : bool ref;
-  }
-
-  let stopped t = t.stop
-
-  let advance t ~max_steps =
-    if max_steps < 1 then invalid_arg "Parallel.Session.advance: max_steps < 1";
-    (match t.stop with
-    | Some _ -> ()
-    | None ->
-      let o = t.exec () in
-      t.result <- Some o;
-      t.stop <- Some o.stopped_because);
-    t.stop
-
-  let interrupt t reason =
-    if t.stop = None then begin
-      t.cancelled := true;
-      t.stop <- Some reason
-    end
-
-  let outcome t =
-    match t.result with
-    | Some o -> o
-    | None -> invalid_arg "Parallel.Session.outcome: session did not run"
-end
-
-let start_session ?domains ?walks_per_domain (cfg : Run_config.t) q registry =
-  let cancelled = ref false in
-  let should_stop =
-    match cfg.Run_config.should_stop with
-    | None -> fun () -> !cancelled
-    | Some f -> fun () -> !cancelled || f ()
-  in
-  let cfg = { cfg with Run_config.should_stop = Some should_stop } in
-  {
-    Session.exec = (fun () -> run_session ?domains ?walks_per_domain cfg q registry);
-    result = None;
-    stop = None;
-    cancelled;
   }

@@ -5,10 +5,6 @@ module Prng = Wj_util.Prng
 module Counter = Wj_obs.Counter
 module Histogram = Wj_obs.Histogram
 
-type event =
-  | Row_access of int * int
-  | Index_probe of int * int
-
 (* Metric handles resolved once at prepare time, so the hot path pays one
    [option] branch per site when metrics are off and plain array stores
    when they are on. *)
@@ -102,8 +98,7 @@ type prepared = {
   steps : compiled_step array;
   extract : int array -> float; (* compiled aggregate expression *)
   eager : bool;
-  tracer : (event -> unit) option; (* legacy tracer composed with the sink *)
-  emit : (Wj_obs.Event.t -> unit) option; (* walk lifecycle events *)
+  emit : (Wj_obs.Event.t -> unit) option; (* walk and access events *)
   stats : instr option;
   trace : Wj_obs.Trace.t option; (* full-tracing span buffer, off by default *)
   mutable last_steps : int;
@@ -158,23 +153,9 @@ let choose_start q registry pos =
     let p, index, lo, hi, count = best in
     (Olken { index; lo; hi }, count, Some p, List.filter (fun p' -> p' != p) preds)
 
-let prepare ?(eager_checks = true) ?tracer ?(sink = Wj_obs.Sink.noop) q registry
+let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
     (plan : Walk_plan.t) =
   let kq = Query.k q in
-  (* Row accesses and index probes flow through the legacy tracer slot so
-     the hot path keeps a single dispatch point; the sink's callback is
-     composed behind it, translating to the typed events. *)
-  let tracer =
-    if Wj_obs.Sink.wants_events sink then
-      Some
-        (fun ev ->
-          (match tracer with None -> () | Some f -> f ev);
-          Wj_obs.Sink.emit sink
-            (match ev with
-            | Row_access (pos, row) -> Wj_obs.Event.Row_access { pos; row }
-            | Index_probe (pos, cost) -> Wj_obs.Event.Index_probe { pos; cost }))
-    else tracer
-  in
   let emit =
     if Wj_obs.Sink.wants_events sink then
       Some (fun ev -> Wj_obs.Sink.emit sink ev)
@@ -286,7 +267,6 @@ let prepare ?(eager_checks = true) ?tracer ?(sink = Wj_obs.Sink.noop) q registry
     steps;
     extract = Query.compile_expr q;
     eager = eager_checks;
-    tracer;
     emit;
     stats;
     trace = Wj_obs.Sink.trace sink;
@@ -304,7 +284,7 @@ let plan t = t.plan
    unmetered walker allocates nothing here. *)
 let[@inline] note_row_access t pos row =
   (match t.stats with None -> () | Some s -> Counter.incr s.i_row_accesses);
-  match t.tracer with None -> () | Some f -> f (Row_access (pos, row))
+  match t.emit with None -> () | Some f -> f (Wj_obs.Event.Row_access { pos; row })
 
 let[@inline] note_index_probe t pos cost =
   (match t.stats with None -> () | Some s -> Counter.incr s.i_index_probes);
@@ -314,7 +294,7 @@ let[@inline] note_index_probe t pos cost =
   (match t.trace with
   | None -> ()
   | Some tr -> Wj_obs.Trace.instant tr ~cat:"walker" "walker.index_probe");
-  match t.tracer with None -> () | Some f -> f (Index_probe (pos, cost))
+  match t.emit with None -> () | Some f -> f (Wj_obs.Event.Index_probe { pos; cost })
 
 let[@inline] note_walk_started t =
   match t.emit with None -> () | Some f -> f Wj_obs.Event.Walk_started

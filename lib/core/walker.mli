@@ -12,10 +12,6 @@
     edge.  Failed walks are part of the probability space and must be fed
     to the estimator as zeros (§3.1). *)
 
-type event =
-  | Row_access of int * int  (** (table position, row id) *)
-  | Index_probe of int * int  (** (table position, abstract probe cost) *)
-
 type outcome =
   | Success of { path : int array; inv_p : float }
   | Failure of { depth : int }
@@ -25,7 +21,6 @@ type prepared
 
 val prepare :
   ?eager_checks:bool ->
-  ?tracer:(event -> unit) ->
   ?sink:Wj_obs.Sink.t ->
   Query.t ->
   Registry.t ->
@@ -38,13 +33,13 @@ val prepare :
 
     [sink] (default {!Wj_obs.Sink.noop}) receives the walker's typed
     events ([Walk_started] / [Walk_succeeded] / [Walk_failed] /
-    [Row_access] / [Index_probe], fired at exactly the points the legacy
-    [tracer] fired) and, when it carries a metrics registry, per-phase
-    step counts, rejection causes and a failure-depth histogram under the
-    ["walker.*"] families.  Handles are resolved here, once: a no-op sink
-    costs one branch per site and changes no PRNG draw, so fixed-seed
-    results are bit-for-bit those of an unobserved run.  [tracer] is the
-    legacy untyped hook, kept for the I/O simulator; both may be given. *)
+    [Row_access] / [Index_probe] — the I/O simulator's [Sim.sink]
+    charges its virtual clock from the last two) and, when it carries a
+    metrics registry, per-phase step counts, rejection causes and a
+    failure-depth histogram under the ["walker.*"] families.  Handles are
+    resolved here, once: a no-op sink costs one branch per site and
+    changes no PRNG draw, so fixed-seed results are bit-for-bit those of
+    an unobserved run. *)
 
 val start_cardinality : prepared -> int
 (** The |R_{λ(1)}| (or Olken-reduced qualifying count) used in the
@@ -63,7 +58,7 @@ val plan : prepared -> Walk_plan.t
 
 val walk : prepared -> Wj_util.Prng.t -> outcome
 (** One random walk, and the only walk loop: every driver calls it.  Also
-    drives the tracer/sink, if any, and counts the walk's outcome in the
+    drives the sink, if any, and counts the walk's outcome in the
     sink's metrics (walks / successes / failures / failure-depth
     histogram, [Walk_succeeded]/[Walk_failed] events). *)
 

@@ -307,7 +307,7 @@ let cache_key req norm =
 (* ---- result rendering ------------------------------------------------- *)
 
 type pending_item =
-  | D_session of Wj_core.Session.outcome Scheduler.session
+  | D_session of Scheduler.session
   | D_exact of Engine.item_outcome
 
 let progress_fields (p : Wj_obs.Progress.t) =
@@ -373,7 +373,7 @@ let item_json (item, pending) =
                      :: progress_fields r))
                  g.Online.groups) );
         ]
-    | Some _ | None ->
+    | None ->
       (* Retired before ever running (cancelled/expired while queued). *)
       Json.Obj [ label; ("kind", Json.Str "online"); state; reason ])
 
@@ -511,16 +511,10 @@ let submit_fresh t req ~traced statement key epoch =
         (fun idx ((item, q), registry) ->
           let p =
             if bound.Binder.online then begin
-              let spec =
-                match q.Wj_core.Query.group_by with
-                | Some _ -> Wj_core.Session_spec.group_by ()
-                | None -> Wj_core.Session_spec.online ()
-              in
               let s =
                 Scheduler.submit t.sched
                   ~label:(Engine.item_label item)
-                  ?deadline:req.deadline ~token ?tenant:req.tenant ~spec cfg q
-                  registry
+                  ?deadline:req.deadline ~token ?tenant:req.tenant cfg q registry
               in
               submitted := s :: !submitted;
               stream.live <- stream.live + 1;
@@ -623,7 +617,7 @@ let pendings_totals pendings =
         | Some (Wj_core.Session.Scalar o) -> note o.Online.final
         | Some (Wj_core.Session.Groups g) ->
           List.iter (fun (_, r) -> note r) g.Online.groups
-        | _ -> ())
+        | None -> ())
       | D_exact _ -> ())
     pendings;
   (!walks, !hw)

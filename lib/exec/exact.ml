@@ -1,6 +1,5 @@
 module Query = Wj_core.Query
 module Walk_plan = Wj_core.Walk_plan
-module Walker = Wj_core.Walker
 module Index = Wj_index.Index
 module Trie = Wj_index.Trie
 module Table = Wj_storage.Table
@@ -58,10 +57,9 @@ let all_checks checks x =
 (* Enumerates every qualifying path and feeds it to [emit].  Predicates,
    join checks and join-key reads are compiled against the typed columns
    once, so the scan allocates no Value.t per visited row. *)
-let enumerate ?tracer q plan emit =
+let enumerate q plan emit =
   let kq = Query.k q in
   let rows_visited = ref 0 in
-  let trace ev = match tracer with None -> () | Some f -> f ev in
   let rank = Array.make kq 0 in
   Array.iteri (fun i pos -> rank.(pos) <- i) plan.Walk_plan.order;
   let checks_at = Array.make kq [] in
@@ -92,14 +90,12 @@ let enumerate ?tracer q plan emit =
       let v = key_readers.(i) path.(step.Walk_plan.parent) in
       let visit row =
         incr rows_visited;
-        trace (Walker.Row_access (step.Walk_plan.into, row));
         path.(step.Walk_plan.into) <- row;
         if
           all_checks row_checks.(step.Walk_plan.into) row
           && all_checks compiled_checks_at.(i + 1) path
         then descend (i + 1)
       in
-      trace (Walker.Index_probe (step.Walk_plan.into, Index.probe_cost step.Walk_plan.index));
       match cond.Query.op with
       | Query.Eq -> Index.iter_eq step.Walk_plan.index v visit
       | Query.Band _ ->
@@ -111,7 +107,6 @@ let enumerate ?tracer q plan emit =
   let start_table = q.Query.tables.(start_pos) in
   for row = 0 to Table.length start_table - 1 do
     incr rows_visited;
-    trace (Walker.Row_access (start_pos, row));
     path.(start_pos) <- row;
     if all_checks row_checks.(start_pos) row && all_checks compiled_checks_at.(0) path
     then descend 0
@@ -236,11 +231,10 @@ let leapfrog_applicable q =
 
 exception Lf_done
 
-let leapfrog_enumerate ?tracer q emit =
+let leapfrog_enumerate q emit =
   let k = Query.k q in
   let lf = analyze q in
   let rows_visited = ref 0 in
-  let trace ev = match tracer with None -> () | Some f -> f ev in
   let tries =
     Array.init k (fun p ->
         let columns = Array.of_list (List.map snd lf.table_vars.(p)) in
@@ -273,7 +267,6 @@ let leapfrog_enumerate ?tracer q emit =
       for s = lo.(p) to hi.(p) - 1 do
         let row = Trie.row tries.(p) s in
         incr rows_visited;
-        trace (Walker.Row_access (p, row));
         path.(p) <- row;
         if all_checks residuals_at.(p) path then emit_leaf (p + 1)
       done
@@ -347,14 +340,14 @@ let resolve_strategy q = function
     in
     if cyclic && all_eq && leapfrog_applicable q then Leapfrog else Nested_loop
 
-let run_enumerate ?(strategy = Auto) ?plan ?tracer q registry emit =
+let run_enumerate ?(strategy = Auto) ?plan q registry emit =
   match resolve_strategy q strategy with
-  | Leapfrog -> leapfrog_enumerate ?tracer q emit
+  | Leapfrog -> leapfrog_enumerate q emit
   | Nested_loop | Auto ->
     let plan = pick_plan q registry plan in
-    enumerate ?tracer q plan emit
+    enumerate q plan emit
 
-let aggregate ?strategy ?plan ?tracer q registry =
+let aggregate ?strategy ?plan q registry =
   let acc = new_acc () in
   let extract = Query.compile_expr q in
   let emit path =
@@ -366,7 +359,7 @@ let aggregate ?strategy ?plan ?tracer q registry =
       acc.sum <- acc.sum +. v;
       acc.sum_sq <- acc.sum_sq +. (v *. v)
   in
-  let rows_visited = run_enumerate ?strategy ?plan ?tracer q registry emit in
+  let rows_visited = run_enumerate ?strategy ?plan q registry emit in
   { value = acc_value q.Query.agg acc; join_size = acc.count; rows_visited }
 
 let group_aggregate ?strategy ?plan q registry =

@@ -1,9 +1,9 @@
 (** Glue: turn walker/ripple access streams into virtual-clock time.
 
-    A simulation owns a buffer pool and a virtual clock.  The tracers it
-    hands out charge the clock per access: buffer-pool hits cost RAM time,
-    misses cost a random I/O; index probes cost cached-interior traversal
-    time.  Running any driver (wander join, ripple join) against the
+    A simulation owns a buffer pool and a virtual clock.  The walker
+    {!sink} and the {!ripple_tracer} it hands out charge the clock per
+    access: buffer-pool hits cost RAM time, misses cost a random I/O;
+    index probes cost cached-interior traversal time.  Running any driver (wander join, ripple join) against the
     virtual clock then reproduces the paper's limited-memory setting. *)
 
 type t
@@ -16,20 +16,18 @@ val model : t -> Cost_model.t
 val pool : t -> Wj_storage.Buffer_pool.t
 val clock : t -> Wj_util.Timer.t
 
-val walker_tracer : t -> Wj_core.Walker.event -> unit
-(** Tracer for {!Wj_core.Online.run_session} / {!Wj_exec.Exact.aggregate}:
-    charges tuple page accesses through the pool and index probes at
-    cached cost. *)
-
 val ripple_tracer : t -> pos:int -> slot:int -> sequential:bool -> unit
 (** Tracer for {!Wj_ripple.Ripple.run}: sequential retrievals charge one
     sequential I/O on the first touch of each storage page; index-sampled
-    retrievals charge a random I/O per miss. *)
+    retrievals charge a random I/O per miss.  Ripple keeps this untyped
+    hook because the typed [Row_access] event carries no [sequential]
+    flag. *)
 
 val sink : ?metrics:Wj_obs.Metrics.t -> ?trace:Wj_obs.Trace.t -> t -> Wj_obs.Sink.t
-(** Observability-native equivalent of {!walker_tracer}: a sink whose event
-    callback charges the clock for [Row_access] / [Index_probe] with the
-    same arithmetic as the tracer, and — when [metrics] is given — refreshes
+(** The walker's side of the simulation: a sink whose event callback
+    charges tuple page accesses ([Row_access]) through the pool and index
+    probes ([Index_probe]) at cached cost — pass it as the run's
+    {!Wj_core.Run_config.t} sink — and, when [metrics] is given, refreshes
     the pool/clock gauges ([pool.hits], [pool.misses], [pool.accesses],
     [pool.resident], [pool.capacity], [sim.charged_seconds]) on every
     [Report] and [Stopped] event.  When [trace] is given (create it over

@@ -186,8 +186,8 @@ val tenant_in_flight : t -> (string * int) list
     the quota-usage view behind the daemon's
     [tenant.<name>.in_flight] gauges. *)
 
-type 'a session
-(** Handle returned at submission; ['a] is the driver outcome type. *)
+type session
+(** Handle returned at submission. *)
 
 val submit :
   t ->
@@ -196,17 +196,15 @@ val submit :
   ?token:Token.t ->
   ?tenant:string ->
   ?pin:int ->
-  ?spec:Wj_core.Session_spec.t ->
   Wj_core.Run_config.t ->
   Wj_core.Query.t ->
   Wj_core.Registry.t ->
-  Wj_core.Session.outcome session
-(** The unified admission path: one entry point for every driver.
-    [spec] (default [cfg.spec], itself defaulting to online) picks the
-    algorithm and its knobs; the session runs through
-    {!Wj_core.Session.start}.  Nothing runs yet — plan selection happens
-    when the scheduler starts the session (so a cancelled queued session
-    costs nothing).  [deadline] is in seconds from submission on the
+  session
+(** The one admission path.  The session runs through
+    {!Wj_core.Session.start}, so the query picks the driver: group-by
+    when it has a GROUP BY clause, scalar online otherwise.  Nothing runs
+    yet — plan selection happens when the scheduler starts the session
+    (so a cancelled queued session costs nothing).  [deadline] is in seconds from submission on the
     scheduler clock; [token] allows external cancellation (a fresh token
     is created otherwise — see {!cancel}); [label] defaults to
     ["session<id>"].  [pin] fixes the session's shard under a
@@ -237,36 +235,36 @@ val drain : t -> unit
 
 (** {2 Session handles} *)
 
-val state : _ session -> state
+val state : session -> state
 (** Current state; between ticks this is never [Reporting]. *)
 
-val id : _ session -> int
+val id : session -> int
 (** Scheduler-unique id, in admission order; keys the [Session_*] events
     and the ["session<id>."] metric scope. *)
 
-val label : _ session -> string
+val label : session -> string
 (** The submission label (default ["session<id>"]). *)
 
-val tenant : _ session -> string option
+val tenant : session -> string option
 (** The admission-quota bucket the session was submitted under, if any. *)
 
-val quanta : _ session -> int
+val quanta : session -> int
 (** Quanta granted to this session so far (the fairness measure). *)
 
-val stop_reason : _ session -> Wj_core.Engine.Driver.stop_reason option
+val stop_reason : session -> Wj_core.Engine.Driver.stop_reason option
 (** The driver-level stop reason once the session is terminal ([None]
     for a session retired while still queued). *)
 
-val cancel : _ session -> unit
+val cancel : session -> unit
 (** Cancel the session's token: a queued session retires without ever
     starting; a running one is interrupted before its next quantum. *)
 
-val result : 'a session -> 'a option
-(** The driver outcome, once terminal.  Present for cancelled and
+val result : session -> Wj_core.Session.outcome option
+(** The driver outcome, read from the session's entry once terminal.  Present for cancelled and
     deadline-exceeded sessions too (the estimate so far), except a
     session that never started. *)
 
-val await : 'a session -> 'a option
+val await : session -> Wj_core.Session.outcome option
 (** Drive the {e whole} scheduler ({!tick}) until this session reaches a
     terminal state, then return its {!result}.  Other live sessions keep
     receiving their fair share of quanta meanwhile. *)

@@ -128,11 +128,11 @@ type served = {
 }
 
 (* What we hold per ONLINE aggregate between submission and drain.  All
-   online items flow through the unified [Scheduler.submit]/[Session_spec]
-   path; the scalar/group split only reappears when the outcome is read
-   back. *)
+   online items flow through [Scheduler.submit], whose query picks the
+   scalar or group-by driver; the split only reappears when the outcome
+   is read back. *)
 type pending =
-  | P_session of Wj_core.Session.outcome Scheduler.session
+  | P_session of Scheduler.session
   | P_exact of item_outcome
 
 let serve ?quantum ?max_live ?policy ?domains ?(sink = Wj_obs.Sink.noop)
@@ -158,16 +158,9 @@ let serve ?quantum ?max_live ?policy ?domains ?(sink = Wj_obs.Sink.noop)
             (fun (item, q) registry ->
               let label = Printf.sprintf "stmt%d %s" si (item_label item) in
               let p =
-                if bound.Binder.online then begin
-                  let spec =
-                    match q.Wj_core.Query.group_by with
-                    | Some _ -> Wj_core.Session_spec.group_by ()
-                    | None -> Wj_core.Session_spec.online ()
-                  in
+                if bound.Binder.online then
                   P_session
-                    (Scheduler.submit sched ~label ?deadline ~pin:si ~spec cfg
-                       q registry)
-                end
+                    (Scheduler.submit sched ~label ?deadline ~pin:si cfg q registry)
                 else
                   P_exact
                     (match q.Wj_core.Query.group_by with
@@ -195,7 +188,7 @@ let serve ?quantum ?max_live ?policy ?domains ?(sink = Wj_obs.Sink.noop)
                   match Scheduler.result s with
                   | Some (Wj_core.Session.Scalar o) -> Some (Online_scalar o)
                   | Some (Wj_core.Session.Groups g) -> Some (Online_groups g)
-                  | Some _ | None -> None
+                  | None -> None
                 in
                 {
                   item;

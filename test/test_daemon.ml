@@ -208,6 +208,57 @@ let test_stream_bit_for_bit () =
             (Int64.equal e_hw (bits (Option.get (jflt "half_width" item)))))
         (List.combine expected_finals items))
 
+(* ---- GROUP BY over the wire -------------------------------------------- *)
+
+(* The query's GROUP BY clause picks the group-by driver on the wjd path
+   too: the final line carries one group_by item whose keys and estimates
+   equal, bit for bit, those of Engine.serve under the same config. *)
+let test_stream_group_by () =
+  let sql =
+    "SELECT ONLINE COUNT(*) FROM customer, orders WHERE c_custkey = o_custkey \
+     GROUP BY c_mktsegment"
+  in
+  let seed = 31337 and max_walks = 3000 in
+  let cfg = Run_config.make ~seed ~max_time:3600.0 ~max_walks () in
+  let expected =
+    match Engine.serve ~quantum:256 ~max_live:4 cfg (catalog ()) [ sql ] with
+    | [ { Engine.served_items = [ { outcome = Some (Engine.Online_groups g); _ } ]; _ } ]
+      ->
+      List.map
+        (fun (key, (r : Online.report)) ->
+          (Wj_storage.Value.to_display key, bits r.estimate, bits r.half_width))
+        g.Online.groups
+    | _ -> Alcotest.fail "expected one online group-by outcome"
+  in
+  Alcotest.(check bool) "several groups" true (List.length expected > 1);
+  with_daemon ~quantum:256 ~max_live:4 (catalog ()) (fun d ->
+      let resp, lines =
+        query d sql
+          ~extra:
+            [
+              ("seed", Json.Int seed);
+              ("max_walks", Json.Int max_walks);
+              ("time", Json.Float 3600.0);
+            ]
+      in
+      Alcotest.(check int) "status 200" 200 resp.Http.status;
+      let item =
+        match Option.bind (Json.member "items" (final_of lines)) Json.to_list with
+        | Some [ item ] -> item
+        | _ -> Alcotest.fail "expected one final item"
+      in
+      Alcotest.(check (option string)) "kind" (Some "group_by") (jstr "kind" item);
+      let got =
+        List.map
+          (fun g ->
+            ( Option.get (jstr "key" g),
+              bits (Option.get (jflt "estimate" g)),
+              bits (Option.get (jflt "half_width" g)) ))
+          (Option.get (Option.bind (Json.member "groups" item) Json.to_list))
+      in
+      Alcotest.(check (list (triple string int64 int64)))
+        "group keys, estimate and half-width bits" expected got)
+
 (* ---- admission control over the wire ----------------------------------- *)
 
 let slow_extra =
@@ -769,6 +820,8 @@ let () =
         [
           Alcotest.test_case "HTTP stream = in-process serve, bit for bit" `Quick
             test_stream_bit_for_bit;
+          Alcotest.test_case "GROUP BY over HTTP = in-process serve, bit for bit"
+            `Quick test_stream_group_by;
         ] );
       ( "admission",
         [

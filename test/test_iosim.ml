@@ -4,9 +4,13 @@ module Buffer_pool = Wj_storage.Buffer_pool
 module Cost_model = Wj_iosim.Cost_model
 module Sim = Wj_iosim.Sim
 module Timer = Wj_util.Timer
-module Walker = Wj_core.Walker
+module Event = Wj_obs.Event
 
 let check_float = Alcotest.(check (float 1e-12))
+
+(* Walker accesses reach the simulation as typed events through its sink. *)
+let row_access sink pos row = Wj_obs.Sink.emit sink (Event.Row_access { pos; row })
+let index_probe sink pos cost = Wj_obs.Sink.emit sink (Event.Index_probe { pos; cost })
 
 (* ---- Buffer_pool ----------------------------------------------------- *)
 
@@ -106,18 +110,19 @@ let test_sim_requires_virtual_clock () =
     (Invalid_argument "Sim.create: clock must be virtual") (fun () ->
       ignore (Sim.create ~pool_pages:10 ~clock:(Timer.wall ()) ()))
 
-let test_sim_walker_tracer_charges () =
+let test_sim_walker_charges () =
   let clock = Timer.virtual_ () in
   let sim = Sim.create ~pool_pages:10 ~clock () in
+  let sink = Sim.sink sim in
   let m = Sim.model sim in
   (* First row access: miss -> random I/O. *)
-  Sim.walker_tracer sim (Walker.Row_access (0, 0));
+  row_access sink 0 0;
   check_float "miss cost" m.random_io (Timer.elapsed clock);
   (* Same page again: hit -> RAM. *)
-  Sim.walker_tracer sim (Walker.Row_access (0, 1));
+  row_access sink 0 1;
   check_float "hit cost" (m.random_io +. m.ram_access) (Timer.elapsed clock);
   (* Index probe: per-level cached cost. *)
-  Sim.walker_tracer sim (Walker.Index_probe (0, 3));
+  index_probe sink 0 3;
   check_float "probe cost"
     (m.random_io +. m.ram_access +. (3.0 *. m.index_level_cost))
     (Timer.elapsed clock)
@@ -145,7 +150,7 @@ let test_sim_scan_and_warm () =
   let t0 = Timer.elapsed clock in
   Sim.warm sim ~table:3 ~rows:(5 * m.rows_per_page);
   check_float "warm free" t0 (Timer.elapsed clock);
-  Sim.walker_tracer sim (Walker.Row_access (3, 0));
+  row_access (Sim.sink sim) 3 0;
   check_float "warmed page hits" (t0 +. m.ram_access) (Timer.elapsed clock)
 
 let test_sim_end_to_end_locality () =
@@ -155,8 +160,9 @@ let test_sim_end_to_end_locality () =
     let clock = Timer.virtual_ () in
     let sim = Sim.create ~pool_pages ~clock () in
     let prng = Wj_util.Prng.create 3 in
+    let sink = Sim.sink sim in
     for _ = 1 to 2000 do
-      Sim.walker_tracer sim (Walker.Row_access (0, Wj_util.Prng.int prng 100_000))
+      row_access sink 0 (Wj_util.Prng.int prng 100_000)
     done;
     Timer.elapsed clock
   in
@@ -183,7 +189,7 @@ let () =
       ( "sim",
         [
           Alcotest.test_case "virtual clock required" `Quick test_sim_requires_virtual_clock;
-          Alcotest.test_case "walker tracer" `Quick test_sim_walker_tracer_charges;
+          Alcotest.test_case "walker tracer" `Quick test_sim_walker_charges;
           Alcotest.test_case "ripple tracer" `Quick test_sim_ripple_tracer;
           Alcotest.test_case "scan and warm" `Quick test_sim_scan_and_warm;
           Alcotest.test_case "locality effect" `Quick test_sim_end_to_end_locality;

@@ -211,7 +211,7 @@ let test_pool_reconciliation () =
   Alcotest.(check int) "observer saw misses" (Buffer_pool.misses pool) !misses
 
 let test_sim_sink_charges () =
-  (* Sim.sink must reproduce walker_tracer's charging on typed events. *)
+  (* Sim.sink charges the clock for typed walker access events. *)
   let clock = Timer.virtual_ () in
   let sim = Sim.create ~pool_pages:8 ~clock () in
   let m = Metrics.create () in
