@@ -45,7 +45,8 @@ type outcome =
 
 type start_sampler =
   | Uniform of { table : Table.t }
-  | Olken of { index : Index.t; lo : int; hi : int }
+  | Olken of { index : Index.t; base : int }
+      (* the qualifying entries are the ranks [base, base + start_count) *)
 
 type phase =
   | Advanced of float
@@ -150,8 +151,11 @@ let choose_start q registry pos =
           if c < best_c then cand else acc)
         first rest
     in
-    let p, index, lo, hi, count = best in
-    (Olken { index; lo; hi }, count, Some p, List.filter (fun p' -> p' != p) preds)
+    let p, index, lo, _, count = best in
+    ( Olken { index; base = Index.rank_lt index lo },
+      count,
+      Some p,
+      List.filter (fun p' -> p' != p) preds )
 
 let prepare ?(eager_checks = true) ?(sink = Wj_obs.Sink.noop) q registry
     (plan : Walk_plan.t) =
@@ -316,30 +320,37 @@ let record_outcome t ~cost outcome =
     | Success _ -> f (Wj_obs.Event.Walk_succeeded { cost })
     | Failure { depth } -> f (Wj_obs.Event.Walk_failed { depth; cost }))
 
+(* A uniform start row, or -1 when the start set is empty.  An Olken
+   start is one rank lookup: the range's first rank was fixed at
+   prepare time. *)
 let sample_start t prng =
   match t.start with
   | Uniform { table } ->
     let n = Table.length table in
-    if n = 0 then None else Some (Prng.int prng n)
-  | Olken { index; lo; hi } ->
-    if t.start_count = 0 then None
-    else Some (Index.nth_range index ~lo ~hi (Prng.int prng t.start_count))
+    if n = 0 then -1 else Prng.int prng n
+  | Olken { index; base } ->
+    if t.start_count = 0 then -1
+    else Index.row_at_rank index (base + Prng.int prng t.start_count)
 
 (* Short-circuiting conjunction over compiled checks (the array preserves
    the predicate-list order the boxed path evaluated in). *)
 let all_row_checks (checks : (int -> bool) array) row =
   let n = Array.length checks in
-  let rec go i = i >= n || (checks.(i) row && go (i + 1)) in
-  go 0
+  let i = ref 0 in
+  while !i < n && checks.(!i) row do
+    incr i
+  done;
+  !i >= n
 
 (* Index of the first failing non-tree check, or -1 when all pass — the
    failing edge is what the per-edge reject attribution charges. *)
 let first_failing_check (checks : path_check array) path =
   let n = Array.length checks in
-  let rec go i =
-    if i >= n then -1 else if checks.(i).pc_check path then go (i + 1) else i
-  in
-  go 0
+  let i = ref 0 in
+  while !i < n && checks.(!i).pc_check path do
+    incr i
+  done;
+  if !i >= n then -1 else !i
 
 (* Attribute a non-tree reject: aggregate counter, the edge's own counter,
    and (when the sink wants events) a [Nontree_reject] with the label. *)
@@ -360,11 +371,12 @@ let note_nontree_reject t ~pos ~label ~counter =
 let advance_start t prng path =
   t.phase_cost <- 0;
   let result =
-    match sample_start t prng with
-    | None ->
+    let row = sample_start t prng in
+    if row < 0 then begin
       (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_empty);
       Dead_unbound
-    | Some row ->
+    end
+    else begin
       t.phase_cost <-
         (match t.start with
         | Uniform _ -> 1
@@ -386,6 +398,7 @@ let advance_start t prng path =
         (match t.stats with None -> () | Some s -> Counter.incr s.i_reject_pred);
         Dead_unbound
       end
+    end
   in
   (match t.stats with
   | None -> ()
@@ -424,15 +437,17 @@ let advance_step t prng path i =
   let result =
     match c.isect with
     | None -> begin
+      (* The candidate key range is [Query.join_key_range cond
+         ~from_left:true v], spelled out so no pair is built per step. *)
       let cond = step.Walk_plan.cond in
       let v = c.key_of_parent path.(step.parent) in
-      let lo, hi = Query.join_key_range cond ~from_left:true v in
       let probe = Index.count_cost step.index in
       note_index_probe t step.into probe;
       let d =
         match cond.op with
         | Query.Eq -> Index.count_eq step.index v
-        | Query.Band _ -> Index.count_range step.index ~lo ~hi
+        | Query.Band { lo; hi } ->
+          Index.count_range step.index ~lo:(v + lo) ~hi:(v + hi)
       in
       t.phase_cost <- probe;
       if d = 0 then begin
@@ -444,7 +459,8 @@ let advance_step t prng path i =
         let row =
           match cond.op with
           | Query.Eq -> Index.nth_eq step.index v pick
-          | Query.Band _ -> Index.nth_range step.index ~lo ~hi pick
+          | Query.Band { lo; hi } ->
+            Index.nth_range step.index ~lo:(v + lo) ~hi:(v + hi) pick
         in
         t.phase_cost <- t.phase_cost + Index.probe_cost step.index + 1;
         bind_and_vet t c path ~row ~d

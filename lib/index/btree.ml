@@ -176,6 +176,23 @@ let nth t r =
   t.probes <- t.probes + 1;
   nth_node t.root r
 
+(* [nth]'s descent without the pair: the walker's Olken start reads only
+   the row id. *)
+let nth_value t r =
+  if r < 0 || r >= t.length then invalid_arg "Btree.nth_value: rank out of range";
+  t.probes <- t.probes + 1;
+  let node = ref t.root and r = ref r in
+  while not !node.is_leaf do
+    let n = !node in
+    let i = ref 0 in
+    while !r >= n.children.(!i).size do
+      r := !r - n.children.(!i).size;
+      incr i
+    done;
+    node := n.children.(!i)
+  done;
+  !node.vals.(!r)
+
 let count_range t ~lo ~hi = if lo > hi then 0 else rank_le t hi - rank_lt t lo
 let count_eq t k = count_range t ~lo:k ~hi:k
 let mem t k = count_eq t k > 0

@@ -44,6 +44,9 @@ val nth : t -> int -> (int * int)
     insertion order at the leaf level). Raises [Invalid_argument] when out
     of range. *)
 
+val nth_value : t -> int -> int
+(** [snd (nth t r)], without allocating the pair. *)
+
 val nth_in_range : t -> lo:int -> hi:int -> int -> (int * int) option
 (** [nth_in_range t ~lo ~hi k]: the k-th entry among those with
     lo <= key <= hi, or [None] when fewer than k+1 qualify. *)
@@ -56,7 +59,7 @@ val iter_range : t -> lo:int -> hi:int -> (int -> int -> unit) -> unit
     key order. *)
 
 val probes : t -> int
-(** Number of root-to-leaf query descents ([rank_lt]/[rank_le]/[nth]/
+(** Number of root-to-leaf query descents ([rank_lt]/[rank_le]/[nth]/[nth_value]/
     [iter_range] and everything built on them: [count_range] costs two
     descents, [nth_in_range] three) since the build or the last
     {!reset_probes}.  An always-on plain-int counter; approximate under

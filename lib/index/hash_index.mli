@@ -4,18 +4,20 @@
     gives the neighbour count [d_j(t)] in O(1), and the walk then picks the
     k-th neighbour uniformly, also in O(1) — exactly the cost model of
     §3.7 ("the whole algorithm takes O(kn) time, assuming hash tables are
-    used as indexes"). *)
+    used as indexes").
+
+    Layout (CSR, built once): every key's row ids sit contiguously, in
+    ascending order, in one flat [rows] array; an open-addressing [int
+    array] of (key, start, len) triples, linear probing at most half
+    full, maps a key to its run.  A lookup is a multiplicative hash and a
+    short scan of that array: no allocation, no closure, no per-key
+    container. *)
 
 type t
 
 val build : Wj_storage.Table.t -> column:int -> t
 (** Scan [table] and index the integer values of [column].
     Raises if a cell in the column is not [Int]. *)
-
-val create_empty : column:int -> t
-(** Empty index for incremental insertion. *)
-
-val insert : t -> key:int -> row:int -> unit
 
 val table_column : t -> int
 (** The column this index was built on. *)
@@ -24,13 +26,15 @@ val count : t -> int -> int
 (** Number of rows whose key equals the argument. *)
 
 val nth : t -> int -> int -> int
-(** [nth t key k] is the row id of the k-th (0-based, insertion-ordered)
-    row matching [key]; raises [Invalid_argument] when out of range. *)
+(** [nth t key k] is the row id of the k-th (0-based) row matching [key],
+    in ascending row-id order; raises [Invalid_argument] when the key is
+    absent or [k] is out of range. *)
 
 val sample : t -> Wj_util.Prng.t -> int -> int option
 (** Uniformly random matching row id, or [None] when the key is absent. *)
 
 val iter_key : t -> int -> (int -> unit) -> unit
+(** Matching row ids in ascending order. *)
 
 val probes : t -> int
 (** Number of query lookups ([count]/[nth]/[sample]/[iter_key]) served
@@ -41,5 +45,3 @@ val reset_probes : t -> unit
 
 val distinct_keys : t -> int
 val total_entries : t -> int
-val memory_words : t -> int
-(** Rough size in machine words, used by the buffer-pool cost model. *)

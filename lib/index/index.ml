@@ -46,6 +46,20 @@ let nth_range t ~lo ~hi k =
     | None -> invalid_arg "Index.nth_range: out of range")
   | Trie tr -> Trie.nth_range tr ~lo ~hi k
 
+let rank_lt t lo =
+  match t.kind with
+  | Hash _ -> invalid_arg "Index.rank_lt: hash index has no order"
+  | Ordered b -> Btree.rank_lt b lo
+  | Trie tr -> Trie.lower_bound tr ~level:0 ~lo:0 ~hi:(Trie.length tr) lo
+
+let row_at_rank t r =
+  match t.kind with
+  | Hash _ -> invalid_arg "Index.row_at_rank: hash index has no order"
+  | Ordered b -> Btree.nth_value b r
+  | Trie tr ->
+    if r < 0 || r >= Trie.length tr then invalid_arg "Index.row_at_rank: out of range";
+    Trie.row tr r
+
 let sample t prng key =
   match t.kind with
   | Hash h -> Hash_index.sample h prng key

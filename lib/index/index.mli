@@ -42,6 +42,19 @@ val nth_range : t -> lo:int -> hi:int -> int -> int
 (** Row id of the k-th row in the inclusive range.
     Raises [Invalid_argument] on a hash index or when out of range. *)
 
+val rank_lt : t -> int -> int
+(** Number of entries whose key is below the argument: the rank of the
+    first entry of any key range starting there.  The entries of
+    [[lo, hi]] are the ranks [rank_lt t lo] to [rank_lt t lo +
+    count_range t ~lo ~hi - 1], so [nth_range t ~lo ~hi k = row_at_rank t
+    (rank_lt t lo + k)]: a fixed range is sampled with one lookup per
+    draw.  Raises [Invalid_argument] on a hash index. *)
+
+val row_at_rank : t -> int -> int
+(** Row id of the entry at a global rank (key order, ties as
+    {!nth_range} orders them).  Raises [Invalid_argument] on a hash index
+    or when out of range. *)
+
 val sample : t -> Wj_util.Prng.t -> int -> int option
 (** One uniform row among those matching the key; [None] when none do.
     Consumes one PRNG draw iff the key has matches. *)
@@ -85,7 +98,7 @@ val probe_cost : t -> int
 val count_cost : t -> int
 (** Abstract cost of one {e counted} lookup, the walker's first phase of
     a step.  This is where the structures genuinely differ: 1 for hash
-    (bucket length is stored); [2 x height] for a counted B+-tree — a
+    (run length is stored); [2 x height] for a counted B+-tree — a
     range count is two rank descents ([rank_le - rank_lt]), which the old
     flat-descent [probe_cost] under-charged; [key columns x ceil(log2 n)]
     for a trie (one binary search per level of the narrow chain).  Feeds
@@ -94,7 +107,7 @@ val count_cost : t -> int
     units). *)
 
 val probes : t -> int
-(** Lifetime query-probe count of the underlying physical index (bucket
+(** Lifetime query-probe count of the underlying physical index (key
     lookups for hash, root-to-leaf descents for ordered, binary searches
     for trie).  Always on; the observability layer snapshots these into
     gauges. *)

@@ -23,7 +23,6 @@ let columns t = Array.copy t.columns
 let row t slot = t.rows.(slot)
 let probes t = t.probes
 let reset_probes t = t.probes <- 0
-let memory_words t = (levels t + 1) * length t
 
 let build_filtered ?keep table ~columns =
   if columns = [||] then invalid_arg "Trie.build: no key columns";

@@ -20,9 +20,9 @@ let agg t = t.agg
 let add t ~u ~v =
   if u <= 0.0 then invalid_arg "Estimator.add: weight must be positive";
   t.successes <- t.successes + 1;
-  Moments.add t.moments [| u; u *. v; u *. v *. v |]
+  Moments.add3 t.moments u (u *. v) (u *. v *. v)
 
-let add_failure t = Moments.add t.moments [| 0.0; 0.0; 0.0 |]
+let add_failure t = Moments.add3 t.moments 0.0 0.0 0.0
 let add_failures t k = Moments.add_zeros t.moments k
 let n t = Moments.n t.moments
 let successes t = t.successes

@@ -43,6 +43,22 @@ let add t obs =
     done
   done
 
+(* [add t [|a; b; c|]] unrolled: the same Kahan additions in the same
+   order, so the sums are bit-identical, with no observation array. *)
+let add3 t a b c =
+  if t.dim <> 3 then invalid_arg "Moments.add3: dimension mismatch";
+  t.count <- t.count + 1;
+  let s = t.sums and x = t.cross in
+  kadd s.(0) a;
+  kadd x.(0) (a *. a);
+  kadd x.(1) (a *. b);
+  kadd x.(2) (a *. c);
+  kadd s.(1) b;
+  kadd x.(3) (b *. b);
+  kadd x.(4) (b *. c);
+  kadd s.(2) c;
+  kadd x.(5) (c *. c)
+
 let add_zeros t k =
   if k < 0 then invalid_arg "Moments.add_zeros: negative count";
   t.count <- t.count + k

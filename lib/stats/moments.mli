@@ -27,6 +27,10 @@ val create : dim:int -> t
 val add : t -> float array -> unit
 (** Raises [Invalid_argument] on a dimension mismatch. *)
 
+val add3 : t -> float -> float -> float -> unit
+(** [add3 t a b c] is [add t [|a; b; c|]], bit for bit, without the
+    array.  Raises [Invalid_argument] unless [dim = 3]. *)
+
 val add_zeros : t -> int -> unit
 (** Record [k] all-zero observations in O(1): only the count moves.
     Raises [Invalid_argument] when [k < 0]. *)

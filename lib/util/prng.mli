@@ -8,7 +8,8 @@
     uniforms. *)
 
 type t
-(** Mutable generator state. *)
+(** Mutable generator state: the four 64-bit xoshiro words in one 32-byte
+    buffer, read and written unboxed, so a draw allocates nothing. *)
 
 val create : int -> t
 (** [create seed] builds a generator deterministically from [seed]. *)

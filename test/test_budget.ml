@@ -13,10 +13,15 @@
      (its one-off set-up amortised over them), so the driver around
      [Walker.walk] is held to its allocation too.
 
-   The recorded values were measured with OCaml 5.1.1 (native code) on
-   the code as it stood before the batched walk engine and the
-   issue/resolve prefetch path were deleted, when the drivers still
-   reached [Walker.walk] through the engine. *)
+   The recorded values were measured with OCaml 5.1.1 (native code, dune's
+   default profile) after the step path stopped allocating per draw and
+   per probe: the Bytes-backed PRNG state, the flat CSR hash index, the
+   rank-interval Olken start, loop-based row and non-tree checks and the
+   array-free [Moments.add3].  Before that cut the ceilings were, walker /
+   session minor words per walk: Q3 150.6019 / 184.6208, Q7 283.0 /
+   317.0322, Q10 195.5785 / 229.5991.  What is left per walker walk is the
+   path array, one boxed factor per [Advanced] phase and the [Success]
+   record. *)
 
 module Queries = Wj_tpch.Queries
 module Generator = Wj_tpch.Generator
@@ -53,20 +58,20 @@ let budgets =
     {
       spec = Queries.Q3;
       probes_per_walk = 2.0;
-      walker_words = 150.6019;
-      session_words = 184.62085;
+      walker_words = 21.0;
+      session_words = 49.02425;
     };
     {
       spec = Queries.Q7;
       probes_per_walk = 5.0;
-      walker_words = 283.0;
-      session_words = 317.03215;
+      walker_words = 36.0;
+      session_words = 64.0298;
     };
     {
       spec = Queries.Q10;
       probes_per_walk = 3.0;
-      walker_words = 195.5785;
-      session_words = 229.5991;
+      walker_words = 26.0;
+      session_words = 54.02615;
     };
   ]
 

@@ -23,7 +23,7 @@ let test_hash_build_count_nth () =
   Alcotest.(check int) "count 1" 3 (Hash_index.count h 1);
   Alcotest.(check int) "count 2" 1 (Hash_index.count h 2);
   Alcotest.(check int) "count absent" 0 (Hash_index.count h 99);
-  Alcotest.(check int) "nth insertion order" 0 (Hash_index.nth h 1 0);
+  Alcotest.(check int) "nth ascending row order" 0 (Hash_index.nth h 1 0);
   Alcotest.(check int) "nth 1" 2 (Hash_index.nth h 1 1);
   Alcotest.(check int) "nth 2" 4 (Hash_index.nth h 1 2);
   Alcotest.(check int) "distinct" 3 (Hash_index.distinct_keys h);
@@ -47,6 +47,99 @@ let test_hash_iter () =
   let seen = ref [] in
   Hash_index.iter_key h 5 (fun r -> seen := r :: !seen);
   Alcotest.(check (list int)) "rows" [ 1; 0 ] !seen
+
+(* The CSR index against a reference model: a Hashtbl of ascending row
+   lists.  Keys mix a small range (many duplicates, negatives) with the
+   extremes, so [min_int]/[max_int] and colliding home slots are covered;
+   one case in ten is the empty table. *)
+let hash_key_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (8, int_range (-5) 5);
+        (1, oneofl [ min_int; max_int; min_int + 1; max_int - 1 ]);
+        (1, int);
+      ])
+
+let hash_vs_model =
+  QCheck.Test.make ~name:"CSR hash index agrees with a Hashtbl model" ~count:300
+    QCheck.(
+      make
+        ~print:(fun (keys, seed) ->
+          Printf.sprintf "seed %d, keys [%s]" seed
+            (String.concat ";" (List.map string_of_int keys)))
+        Gen.(
+          pair
+            (list_size (frequency [ (1, return 0); (9, int_range 1 300) ]) hash_key_gen)
+            (int_range 0 1000)))
+    (fun (keys, seed) ->
+      let h = Hash_index.build (small_table (List.map (fun k -> (k, 0)) keys)) ~column:0 in
+      let model = Hashtbl.create 16 in
+      List.iteri
+        (fun row k ->
+          let rows = Option.value ~default:[] (Hashtbl.find_opt model k) in
+          Hashtbl.replace model k (rows @ [ row ]))
+        keys;
+      let prng = Prng.create seed in
+      let present k rows =
+        let rows = Array.of_list rows and d = List.length rows in
+        let iterated = ref [] in
+        Hash_index.iter_key h k (fun r -> iterated := r :: !iterated);
+        let expected_sample = rows.(Prng.int (Prng.copy prng) d) in
+        Hash_index.count h k = d
+        && Array.for_all Fun.id (Array.mapi (fun i r -> Hash_index.nth h k i = r) rows)
+        && (match Hash_index.nth h k d with
+           | _ -> false
+           | exception Invalid_argument _ -> true)
+        && List.rev !iterated = Array.to_list rows
+        && Hash_index.sample h prng k = Some expected_sample
+      in
+      let absent k =
+        Hash_index.count h k = 0
+        && (match Hash_index.nth h k 0 with
+           | _ -> false
+           | exception Invalid_argument _ -> true)
+        && Hash_index.sample h prng k = None
+        &&
+        let hit = ref false in
+        Hash_index.iter_key h k (fun _ -> hit := true);
+        not !hit
+      in
+      Hashtbl.fold (fun k rows ok -> ok && present k rows) model true
+      && List.for_all absent
+           (List.filter
+              (fun k -> not (Hashtbl.mem model k))
+              [ 6; -6; 0; 1_000_000; min_int; max_int; min_int + 2; max_int - 2 ])
+      && Hash_index.distinct_keys h = Hashtbl.length model
+      && Hash_index.total_entries h = List.length keys)
+
+(* The walker's Olken start samples a fixed key range as a rank interval:
+   rank [rank_lt lo + k] must be [nth_range ~lo ~hi k] for every [k], on
+   both ordered kinds. *)
+let rank_start_matches_nth_range =
+  QCheck.Test.make ~name:"rank-interval start equals nth_range" ~count:200
+    QCheck.(
+      triple
+        (list_of_size Gen.(int_range 0 200) (pair (int_range (-20) 20) (int_range 0 5)))
+        (int_range (-25) 25) (int_range (-25) 25))
+    (fun (rows, a, b) ->
+      let t = small_table rows in
+      let ranges =
+        [ (min a b, max a b); (a, a); (min_int, max_int); (min_int, a); (b, max_int) ]
+      in
+      List.for_all
+        (fun idx ->
+          List.for_all
+            (fun (lo, hi) ->
+              let base = Index.rank_lt idx lo in
+              let ok = ref true in
+              for k = 0 to Index.count_range idx ~lo ~hi - 1 do
+                if Index.row_at_rank idx (base + k) <> Index.nth_range idx ~lo ~hi k then
+                  ok := false
+              done;
+              !ok)
+            ranges)
+        [ Index.build_ordered t ~column:0; Index.build_trie t ~columns:[ 0; 1 ] ])
 
 (* ---- Btree: unit tests ----------------------------------------------- *)
 
@@ -312,6 +405,7 @@ let () =
           Alcotest.test_case "build/count/nth" `Quick test_hash_build_count_nth;
           Alcotest.test_case "sample" `Quick test_hash_sample;
           Alcotest.test_case "iter" `Quick test_hash_iter;
+          QCheck_alcotest.to_alcotest hash_vs_model;
         ] );
       ( "btree",
         [
@@ -335,5 +429,6 @@ let () =
         [
           Alcotest.test_case "equality ops" `Quick test_index_facade_eq;
           Alcotest.test_case "range ops" `Quick test_index_facade_range;
+          QCheck_alcotest.to_alcotest rank_start_matches_nth_range;
         ] );
     ]

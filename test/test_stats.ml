@@ -75,6 +75,35 @@ let test_moments_edge_cases () =
   Alcotest.check_raises "dim" (Invalid_argument "Moments.add: dimension mismatch")
     (fun () -> Moments.add m [| 1.0; 2.0 |])
 
+(* The estimator's hot path feeds (u, uv, uv^2) through [add3]; it must
+   leave every Kahan sum bit-identical to [add] on the same stream, or
+   the fixed-seed goldens would drift.  Heavy-tailed weights and failed
+   (all-zero) walks exercise the compensation terms. *)
+let test_moments_add3 () =
+  let prng = Prng.create 12 in
+  let a = Moments.create ~dim:3 and b = Moments.create ~dim:3 in
+  for _ = 1 to 5000 do
+    let u, v =
+      if Prng.bool prng then (0.0, 0.0)
+      else (Float.pow 10.0 (Prng.float prng 12.0), Prng.float prng 100.0 -. 50.0)
+    in
+    Moments.add a [| u; u *. v; u *. v *. v |];
+    Moments.add3 b u (u *. v) (u *. v *. v)
+  done;
+  let same name x y =
+    Alcotest.(check int64) name (Int64.bits_of_float x) (Int64.bits_of_float y)
+  in
+  Alcotest.(check int) "n" (Moments.n a) (Moments.n b);
+  for i = 0 to 2 do
+    same (Printf.sprintf "sum %d" i) (Moments.sum a i) (Moments.sum b i);
+    for j = i to 2 do
+      same (Printf.sprintf "cov %d %d" i j) (Moments.sample_covariance a i j)
+        (Moments.sample_covariance b i j)
+    done
+  done;
+  Alcotest.check_raises "dim" (Invalid_argument "Moments.add3: dimension mismatch")
+    (fun () -> Moments.add3 (Moments.create ~dim:2) 1.0 2.0 3.0)
+
 let test_kahan () =
   let k = Moments.kahan () in
   Moments.kadd k 1.0;
@@ -292,6 +321,7 @@ let () =
           Alcotest.test_case "bulk zeros" `Quick test_moments_zeros;
           Alcotest.test_case "merge" `Quick test_moments_merge;
           Alcotest.test_case "edge cases" `Quick test_moments_edge_cases;
+          Alcotest.test_case "add3 is add, bit for bit" `Quick test_moments_add3;
           Alcotest.test_case "kahan" `Quick test_kahan;
         ] );
       ( "estimator",

@@ -147,6 +147,72 @@ let test_prng_pick () =
   Alcotest.check_raises "empty" (Invalid_argument "Prng.pick: empty array") (fun () ->
       ignore (Prng.pick t [||]))
 
+(* The first 16 outputs of fixed seeds and of one [split], recorded from the
+   record-of-int64 implementation the Bytes-backed state replaced: every
+   fixed-seed golden in the repository rests on this stream. *)
+let prng_golden =
+  [
+    ("seed 0", (fun () -> Prng.create 0),
+    [|
+      0x99ec5f36cb75f2b4L; 0xbf6e1f784956452aL;
+      0x1a5f849d4933e6e0L; 0x6aa594f1262d2d2cL;
+      0xbba5ad4a1f842e59L; 0xffef8375d9ebcacaL;
+      0x6c160deed2f54c98L; 0x8920ad648fc30a3fL;
+      0xdb032c0ba7539731L; 0xeb3a475a3e749a3dL;
+      0x1d42993fa43f2a54L; 0x11361bf526a14bb5L;
+      0x1b4f07a5ab3d8e9cL; 0xa7a3257f6986db7fL;
+      0x7efdaa95605dfc9cL; 0x4bde97c0a78eaab8L;
+    |]);
+    ("seed 1", (fun () -> Prng.create 1),
+    [|
+      0xb3f2af6d0fc710c5L; 0x853b559647364ceaL;
+      0x92f89756082a4514L; 0x642e1c7bc266a3a7L;
+      0xb27a48e29a233673L; 0x24c123126ffda722L;
+      0x123004ef8df510e6L; 0x61954dcc47b1e89dL;
+      0xddfdb48ab9ed4a21L; 0x8d3cdb8c3aa5b1d0L;
+      0xeebd114bd87226d1L; 0xf50c3ff1e7d7e8a6L;
+      0xeeca3115e23bc8f1L; 0xab49ed3db4c66435L;
+      0x99953c6c57808dd7L; 0xe3fa941b05219325L;
+    |]);
+    ("seed 42", (fun () -> Prng.create 42),
+    [|
+      0x15780b2e0c2ec716L; 0x6104d9866d113a7eL;
+      0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+      0xfde6dc7fe2ec5e64L; 0xc50da53101795238L;
+      0xb82154855a65ddb2L; 0xd99a2743ebe60087L;
+      0xc2e96e726e97647eL; 0x9556615f775fbc3dL;
+      0xaeb53b340c103971L; 0x4a69db9873af8965L;
+      0xcd0feda93006c6b6L; 0x52480865a4b42742L;
+      0xb60dec3bf2d887cdL; 0xe0b55a68b96677faL;
+    |]);
+    ("split of seed 42", (fun () -> Prng.split (Prng.create 42)),
+    [|
+      0x8ee445d14631c453L; 0x106fa1a13296fe62L;
+      0x729a768806244ce5L; 0x91d83a17b20e6585L;
+      0x38c33df442fc70fdL; 0xe33cd1b92e2e42f1L;
+      0x3162280b9dcfa5efL; 0xb4f9f0541228b854L;
+      0x1a14e769c3971c72L; 0xbcdc3038014f831dL;
+      0x812cc5b01f199815L; 0x3134fde165d33c1aL;
+      0x3368166c2f73f701L; 0x18ff20dedd333424L;
+      0x985e809610691fbdL; 0xc7e926ca8d4dd481L;
+    |]);
+  ]
+
+let test_prng_golden () =
+  List.iter
+    (fun (name, make, expected) ->
+      let t = make () in
+      Array.iteri
+        (fun i e ->
+          Alcotest.(check int64) (Printf.sprintf "%s draw %d" name i) e (Prng.bits64 t))
+        expected)
+    prng_golden;
+  (* [split] advances its parent by exactly one draw. *)
+  let parent = Prng.create 42 in
+  ignore (Prng.split parent);
+  let _, _, seed42 = List.nth prng_golden 2 in
+  Alcotest.(check int64) "parent after split" seed42.(1) (Prng.bits64 parent)
+
 (* ---- Vec ------------------------------------------------------------- *)
 
 let test_vec_push_get () =
@@ -447,6 +513,7 @@ let () =
           Alcotest.test_case "shuffle permutation" `Quick test_prng_shuffle_is_permutation;
           Alcotest.test_case "split" `Quick test_prng_split_independent;
           Alcotest.test_case "pick" `Quick test_prng_pick;
+          Alcotest.test_case "golden stream" `Quick test_prng_golden;
         ] );
       ( "vec",
         [
